@@ -49,6 +49,9 @@ MC_COLUMNS = ["w_a_plus", "c_used", "shots", "seed", "visibility",
 SWEEP_NOTE = ("products are symmetric about w_a_plus = 0.5; "
               "max_product diverges where c_opt reaches 0 or 1")
 
+# the multinomial sampler draws int64 counts
+MAX_SHOTS = 2 ** 63 - 1
+
 _CONFIG_KEYS = {"seed": int, "shots": int, "visibility": float,
                 "index": float, "grid": int, "format": str}
 
@@ -288,6 +291,10 @@ def _resolve_mc_setting(args, cfg: RunConfig):
 
 def cmd_mc(args) -> int:
     cfg = merge_config(args)
+    if cfg.seed < 0:
+        raise UsageError(f"seed must be a non-negative integer, got {cfg.seed}")
+    if not 1 <= cfg.shots <= MAX_SHOTS:
+        raise UsageError(f"shots must be in 1..{MAX_SHOTS}, got {cfg.shots}")
     w, c, run = _resolve_mc_setting(args, cfg)
     noise = experiment.NoiseModel(visibility=cfg.visibility)
     counts, report = run(cfg.shots, cfg.seed, noise)
@@ -373,11 +380,8 @@ def main(argv=None) -> int:
         return EXIT_SINGULAR
     except CalibrationInfeasibleError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        if exc.residuals:
-            k = max(range(len(exc.residuals)), key=lambda i: exc.residuals[i])
-            print(f"diagnostic: residual maximum {exc.residuals[k]:+.6f} at "
-                  f"alpha = {exc.alpha_grid[k]:.6f} rad over {len(exc.residuals)} scan points",
-                  file=sys.stderr)
+        print(f"diagnostic: margin k^2 - k_min^2 = {exc.margin:+.7f}; this plate count "
+              f"calibrates above index n* = {exc.threshold_index:.7f}", file=sys.stderr)
         return EXIT_INFEASIBLE
     except EmptyEnsembleError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -32,11 +32,14 @@ class EmptyEnsembleError(SimulmeasError):
 class CalibrationInfeasibleError(SimulmeasError):
     """No rotation angle satisfies the optimal-product condition for this plate stack.
 
-    Carries the scanned residual curve for diagnostics: ``alpha_grid`` and
-    ``residuals`` are equal-length lists of floats.
+    ``margin`` is k^2 - k_min^2, the stack parameter k = (1 - t_s^2)/(1 + t_s^2)
+    squared minus its feasibility threshold 0.7230468: negative for a stack
+    too leaky to reach the minimum product at any rotation.
+    ``threshold_index`` is n*(N), the glass index above which a stack with
+    the same plate count calibrates.
     """
 
-    def __init__(self, message, alpha_grid=None, residuals=None):
+    def __init__(self, message, margin: float, threshold_index: float):
         super().__init__(message)
-        self.alpha_grid = list(alpha_grid) if alpha_grid is not None else []
-        self.residuals = list(residuals) if residuals is not None else []
+        self.margin = margin
+        self.threshold_index = threshold_index

@@ -49,6 +49,7 @@ __all__ = [
     "polarizer_operator",
     "prepare",
     "calibrate_alpha",
+    "threshold_index",
     "sample_coincidences",
     "report_from_probabilities",
     "estimate_report",
@@ -157,69 +158,103 @@ def prepare(cfg: PolarizerConfig) -> PreparedState:
 # --------------------------------------------------------------------------
 # calibration to the minimum-product condition
 
-_ALPHA_EDGE = 1e-4
-_CALIBRATION_POINTS = 2000
+def _bisect(f, lo: float, hi: float) -> float:
+    """Root of f on [lo, hi], given f < 0 at lo and f > 0 at hi, to the last bit.
+
+    The end signs are known from the algebra rather than evaluated, so an
+    underflowing end value cannot flip the bracket.
+    """
+    while True:
+        mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            return mid
+        if f(mid) < 0.0:
+            lo = mid
+        else:
+            hi = mid
 
 
-def _optimality_residual(cfg: PolarizerConfig) -> float:
-    d = prepare(cfg).decomposition
-    delta_a, delta_b = protocol.sharp_deltas(d.w_a_plus)
-    _, c_opt = protocol.min_product(delta_a, delta_b)
-    return d.c - c_opt
+# k_min^2: the stack parameter k^2 at which the optimality cubic's two
+# positive roots merge; its discriminant vanishes where
+# 16 K^3 - 56 K^2 + 75 K - 31 = 0, a cubic increasing in K with one real
+# root, in (0, 1)
+_K2_MIN = _bisect(lambda K: ((16.0 * K - 56.0) * K + 75.0) * K - 31.0, 0.0, 1.0)
+# largest feasible t_s, sqrt((1 - k_min)/(1 + k_min))
+_T_S_MAX = math.sqrt((1.0 - math.sqrt(_K2_MIN)) / (1.0 + math.sqrt(_K2_MIN)))
 
 
-def calibrate_alpha(plate_count: int,
-                    refractive_index: float = DEFAULT_REFRACTIVE_INDEX,
-                    bracket_points: int = _CALIBRATION_POINTS,
-                    tol: float = 1e-10) -> list[float]:
-    """Rotation angles where the prepared state attains the minimum product.
+def threshold_index(plate_count: int) -> float:
+    """Glass index n*(N) above which an N-plate stack can be calibrated.
 
-    Scans the optimality residual c(alpha) - sqrt(delta_a/(delta_a+delta_b))
-    over alpha in (0, pi/4) on a ``bracket_points`` grid and bisects every
-    sign change to ``tol``. Two roots are expected per stack; a different
-    count triggers a warning, no root at all an error carrying the residual
-    curve for diagnosis.
+    A stack reaches the minimum product exactly when k^2 > k_min^2 =
+    0.7230468, i.e. when t_s < 0.2844173. Solving (4n^2/(1+n^2)^2)^N =
+    t_s_max for n > 1 gives n* = (1 + sqrt(1 - tau))/sqrt(tau) with
+    tau = t_s_max^(1/N); for 7 plates n* = 1.5375383.
     """
     if plate_count < 1:
         raise UsageError(f"plate_count must be >= 1, got {plate_count}")
+    tau = _T_S_MAX ** (1.0 / plate_count)
+    return (1.0 + math.sqrt(1.0 - tau)) / math.sqrt(tau)
 
-    def residual(alpha: float) -> float:
-        return _optimality_residual(
-            PolarizerConfig.from_plates(plate_count, alpha, refractive_index))
 
-    grid = np.linspace(_ALPHA_EDGE, math.pi / 4.0 - _ALPHA_EDGE, bracket_points)
-    values = [residual(a) for a in grid]
+def calibrate_alpha(plate_count: int,
+                    refractive_index: float = DEFAULT_REFRACTIVE_INDEX) -> list[float]:
+    """Rotation angles where the prepared state attains the minimum product.
 
+    The stack prepares delta_b = k cos(2 alpha) and delta_a^2 = 1 - delta_b^2
+    with k = (1 - t_s^2)/(1 + t_s^2), and c^2 = (k^2 - delta_b^2)/delta_a^2.
+    With a = 1 - k^2 and y = k^2 sin^2(2 alpha) = delta_a^2 - a, the
+    optimality condition c^2 = delta_a/(delta_a + delta_b) reads
+    a*delta_a = y*delta_b, whose square is the cubic
+    g(y) = y^3 - k^2 y^2 + a^2 y + a^3 = 0 on (0, k^2). g is positive at both
+    ends, so the stack is feasible exactly when g is negative at its local
+    minimum y_m = (k^2 + sqrt(k^4 - 3a^2))/3; then [0, y_m] brackets the root
+    near alpha -> 0, found in y, and [y_m, k^2] the root near alpha -> pi/4,
+    found in z = k^2 - y = k^2 cos^2(2 alpha), where the condition reads
+    z (k^2 - z)^2 + a^2 z - a^2 = 0. Both are bisected to the last bit and
+    mapped back by alpha = asin(sqrt(y)/k)/2 and pi/4 - asin(sqrt(z)/k)/2,
+    which stay exact for thick stacks whose roots crowd the edges.
+
+    Returns the roots in (0, pi/4), sorted. A root so close to an edge that
+    it rounds onto it is dropped with a warning; an infeasible stack, or one
+    left with no root, raises `CalibrationInfeasibleError` carrying the
+    margin k^2 - k_min^2 and the threshold index n*(N).
+    """
+    if plate_count < 1:
+        raise UsageError(f"plate_count must be >= 1, got {plate_count}")
+    t_s = plate_transmittance(refractive_index) ** plate_count
+    t2 = t_s * t_s
+    k = (1.0 - t2) / (1.0 + t2)
+    k2 = k * k
+    a = 4.0 * t2 / (1.0 + t2) ** 2  # 1 - k^2 without the cancellation
+
+    def g(y: float) -> float:
+        return ((y - k2) * y + a * a) * y + a ** 3
+
+    # without a local minimum (k^4 < 3a^2) g increases from g(0) > 0, so it
+    # is positive at this y_m too and the stack is rightly infeasible
+    y_m = (k2 + math.sqrt(max(k2 * k2 - 3.0 * a * a, 0.0))) / 3.0
     roots: list[float] = []
-    for i in range(len(grid) - 1):
-        f_lo, f_hi = values[i], values[i + 1]
-        if f_lo == 0.0:
-            roots.append(float(grid[i]))
-            continue
-        if f_lo * f_hi < 0.0:
-            lo, hi = float(grid[i]), float(grid[i + 1])
-            while hi - lo > tol:
-                mid = 0.5 * (lo + hi)
-                if residual(mid) * f_lo <= 0.0:
-                    hi = mid
-                else:
-                    lo = mid
-            roots.append(0.5 * (lo + hi))
-    if values[-1] == 0.0:
-        roots.append(float(grid[-1]))
+    if g(y_m) < 0.0:
+        y = _bisect(lambda y: -g(y), 0.0, y_m)
+        z = _bisect(lambda z: z * (k2 - z) ** 2 + a * a * (z - 1.0), 0.0, k2 - y_m)
+        alphas = (0.5 * math.asin(math.sqrt(y) / k),
+                  math.pi / 4.0 - 0.5 * math.asin(math.sqrt(z) / k))
+        roots = [alpha for alpha in alphas if 0.0 < alpha < math.pi / 4.0]
 
     if not roots:
-        k = int(np.argmax(values))
+        margin = k2 - _K2_MIN
+        why = ("its roots round onto the edges of (0, pi/4)" if margin > 0.0
+               else "the stack is too leaky (k^2 below k_min^2)")
         raise CalibrationInfeasibleError(
             f"no rotation angle reaches the optimal product for {plate_count} plates "
-            f"at index {refractive_index:g}: residual peaks at {values[k]:+.6f} "
-            f"(alpha = {grid[k]:.6f} rad)",
-            alpha_grid=grid, residuals=values)
+            f"at index {refractive_index:g}: {why}",
+            margin=margin, threshold_index=threshold_index(plate_count))
     if len(roots) != 2:
         warnings.warn(
             f"{plate_count} plates at index {refractive_index:g}: expected 2 calibration "
             f"roots, found {len(roots)}", stacklevel=2)
-    return sorted(roots)
+    return roots
 
 
 # --------------------------------------------------------------------------

@@ -185,12 +185,13 @@ class UncertaintyReport:
                 raise UsageError(f"{name} must be finite and non-negative, got {v}")
         if not 0.0 < self.c_used < 1.0:
             raise UsageError(f"c_used must be in (0, 1), got {self.c_used}")
-        # the lower bound holds whenever both inferred uncertainties are
-        # genuine; a sampled report with a zero marginal has a vanishing
-        # prime and is only diagnosable, not bounded
-        if self.delta_a_prime > 0.0 and self.delta_b_prime > 0.0:
-            if self.product_simultaneous < 1.0 + self.product_sharp - 1e-9:
-                raise UsageError("simultaneous product below its lower bound")
+        # an exact report must respect the lower bound; an estimated one
+        # (product_stderr set) meets it identically unless a sampled sharp
+        # uncertainty was clamped at zero, where falling below it is sampling
+        # noise, not an error
+        if (self.product_stderr is None
+                and self.product_simultaneous < 1.0 + self.product_sharp - 1e-9):
+            raise UsageError("simultaneous product below its lower bound")
 
 
 @dataclass(frozen=True)

@@ -195,7 +195,7 @@ def test_criterion_07_calibration_six_settings():
         try:
             roots = calibrate_alpha(plates, INDEX)
         except CalibrationInfeasibleError as err:
-            per_stack[plates] = f"infeasible (peak residual {max(err.residuals):+.4f})"
+            per_stack[plates] = f"infeasible (margin k^2 - k_min^2 = {err.margin:+.4f})"
             continue
         per_stack[plates] = f"{len(roots)} roots"
         for alpha in roots:

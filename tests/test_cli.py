@@ -138,7 +138,8 @@ class TestCalibrateCommand:
     def test_infeasible_stack_diagnostics(self, capsys):
         code, _, err = run(capsys, "calibrate", "--plates", "7")
         assert code == cli.EXIT_INFEASIBLE
-        assert "residual" in err
+        assert "margin k^2 - k_min^2 = -0.0705435" in err
+        assert "n* = 1.5375383" in err
 
     def test_alternate_index(self, capsys):
         code, out, _ = run(capsys, "calibrate", "--plates", "7", "--index", "1.55")
@@ -198,6 +199,29 @@ class TestMcCommand:
     def test_conflicting_settings(self, capsys):
         code, _, _ = run(capsys, "mc", "--plates", "10", "--w", "0.7", "--c", "0.5")
         assert code == cli.EXIT_USAGE
+
+    @pytest.mark.parametrize("argv", [
+        ["--w", "0.5", "--c", "0.9", "--shots", "1000", "--seed", "9"],
+        ["--plates", "24", "--index", "1.55", "--root", "1", "--shots", "1000", "--seed", "2"],
+    ])
+    def test_sampled_product_below_floor_is_reported(self, capsys, argv):
+        # these draws clamp a sampled sharp uncertainty at 0, which puts the
+        # estimate below 1 + delta_a*delta_b; that is noise, not a usage error
+        code, out, err = run(capsys, "mc", *argv, "--visibility", "1")
+        assert code == 0, err
+        assert "measured product" in out
+
+    @pytest.mark.parametrize("flag, value", [("seed", "-1"),
+                                             ("shots", "100000000000000000000")])
+    def test_out_of_range_seed_and_shots(self, capsys, tmp_path, flag, value):
+        code, _, err = run(capsys, "mc", "--w", "0.8", "--c", "0.6", f"--{flag}", value)
+        assert code == cli.EXIT_USAGE
+        assert err.startswith("error:") and flag in err
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"{flag} = {value}\n")
+        code, _, err = run(capsys, "--config", str(cfg), "mc", "--w", "0.8", "--c", "0.6")
+        assert code == cli.EXIT_USAGE
+        assert err.startswith("error:") and flag in err
 
 
 class TestConfigFile:

@@ -1,8 +1,12 @@
 import math
+import sys
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from simulmeas import experiment, protocol, qmath
 from simulmeas.errors import (
@@ -25,6 +29,7 @@ from simulmeas.experiment import (
     run_state_setting,
     sample_coincidences,
     singlet,
+    threshold_index,
 )
 
 # chi-square critical value, 3 degrees of freedom, significance 1e-3
@@ -50,6 +55,13 @@ def closed_form_cw(alpha, t):
     w = term1 / (1 + t * t)
     c = (1 - t * t) * s_ * c_ / math.sqrt(term1 * term2)
     return w, c
+
+
+def optimality_residual(plates, alpha, index=1.5):
+    """c - c_opt of the state the stack prepares at rotation alpha."""
+    d = prepare(PolarizerConfig.from_plates(plates, alpha, index)).decomposition
+    delta_a, delta_b = protocol.sharp_deltas(d.w_a_plus)
+    return d.c - protocol.min_product(delta_a, delta_b)[1]
 
 
 class TestSinglet:
@@ -207,11 +219,17 @@ class TestCalibrateAlpha:
                 assert product == pytest.approx(1 + delta_a * delta_b, abs=1e-8)
 
     def test_seven_plates_infeasible_at_default_index(self):
-        # residual curve peaks below zero for this stack; see the ledger
         with pytest.raises(CalibrationInfeasibleError) as err:
             calibrate_alpha(7)
-        assert len(err.value.residuals) == 2000
-        assert max(err.value.residuals) < 0
+        # k^2 exactly from the rational per-plate amplitude 144/169; k_min^2
+        # is the real root of 16 K^3 - 56 K^2 + 75 K - 31, where the
+        # optimality cubic's discriminant vanishes
+        t2 = Fraction(144, 169) ** 14
+        k2 = ((1 - t2) / (1 + t2)) ** 2
+        k2_min = min(r.real for r in np.roots([16, -56, 75, -31]) if abs(r.imag) < 1e-12)
+        assert err.value.margin == pytest.approx(float(k2) - k2_min, abs=1e-9)
+        assert err.value.margin < 0
+        assert err.value.threshold_index == pytest.approx(1.5375383, abs=1e-7)
 
     def test_seven_plates_feasible_at_higher_index(self):
         roots = calibrate_alpha(7, refractive_index=1.55)
@@ -220,6 +238,61 @@ class TestCalibrateAlpha:
     def test_rejects_bad_plate_count(self):
         with pytest.raises(UsageError):
             calibrate_alpha(0)
+        with pytest.raises(UsageError):
+            threshold_index(0)
+
+    @pytest.mark.parametrize("plates, expected", [
+        # roots found by the former 2000-point scan with bisection to 1e-10
+        (8, (0.35422918440895657, 0.5126281695499301)),
+        (10, (0.15880538662806387, 0.6866207489381614)),
+    ])
+    def test_matches_scan_roots(self, plates, expected):
+        assert calibrate_alpha(plates) == pytest.approx(expected, abs=1e-9)
+
+    @pytest.mark.parametrize("index", [1.5, 1.55])
+    @pytest.mark.parametrize("plates", [32, 40, 60])
+    def test_thick_stacks_have_two_roots(self, plates, index):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            roots = calibrate_alpha(plates, index)
+        assert len(roots) == 2
+        for alpha in roots:
+            assert abs(optimality_residual(plates, alpha, index)) < 1e-8
+
+    def test_roots_rounding_onto_an_edge_are_dropped(self):
+        # the root near pi/4 lies within rounding of it from about 120 plates,
+        # the one near 0 from about 780; the stack itself stays feasible
+        with pytest.warns(UserWarning, match="found 1"):
+            roots = calibrate_alpha(150)
+        assert len(roots) == 1 and 0.0 < roots[0] < 1e-12
+        with pytest.raises(CalibrationInfeasibleError) as err:
+            calibrate_alpha(3000)
+        assert err.value.margin > 0
+
+    def test_threshold_index(self):
+        assert threshold_index(7) == pytest.approx(1.5375383, abs=1e-7)
+        # the stack parameter at n* sits on the feasibility threshold
+        for plates in (3, 7, 12):
+            n_star = threshold_index(plates)
+            assert calibrate_alpha(plates, n_star + 1e-6)
+            with pytest.raises(CalibrationInfeasibleError):
+                calibrate_alpha(plates, n_star - 1e-6)
+
+    @settings(max_examples=200, deadline=None)
+    @given(plates=st.integers(8, 60), index=st.floats(1.5, 1.7))
+    def test_roots_property(self, plates, index):
+        roots = calibrate_alpha(plates, index)
+        assert len(roots) == 2
+        assert 0.0 < roots[0] < roots[1] < math.pi / 4
+        t = plate_transmittance(index) ** plates
+        k = (1 - t * t) / (1 + t * t)
+        for alpha in roots:
+            # prepare hands back w to a few ulps, and delta_a = 2 sqrt(w(1-w))
+            # then carries a relative error of about eps/delta_a^2, so c_opt
+            # (about sqrt(delta_a) here) is only good to eps * delta_a^-1.5
+            delta_a = math.sqrt(4 * t * t / (1 + t * t) ** 2 + (k * math.sin(2 * alpha)) ** 2)
+            floor = 8 * sys.float_info.epsilon * delta_a ** -1.5
+            assert abs(optimality_residual(plates, alpha, index)) < 1e-8 + floor
 
 
 class TestSampling:
