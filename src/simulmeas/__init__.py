@@ -1,15 +1,16 @@
 """Simultaneous unsharp measurement of two complementary qubit observables.
 
-Layers: `qmath` (fixed-dimension complex linear algebra), `protocol` (the
-entangled-probe measurement scheme and its uncertainty bookkeeping),
-`experiment` (partial-polarizer digital twin with seeded coincidence
-sampling) and `cli` (command-line front end).
+Layers: `protocol` (the entangled-probe measurement scheme as closed forms
+in the Bloch components x, y and the probe overlap c), `experiment`
+(partial-polarizer digital twin with seeded coincidence sampling) and
+`cli` (command-line front end). `simulmeas.qmath` holds the
+amplitude-level reference the tests check the closed forms against; no
+runtime module, this one included, imports it.
 """
 
-from . import cli, experiment, protocol, qmath
+from . import cli, experiment, protocol
 from .errors import (
     CalibrationInfeasibleError,
-    DegenerateBasisError,
     EmptyEnsembleError,
     RescalingSingularError,
     SimulmeasError,
@@ -20,39 +21,26 @@ from .experiment import (
     NoiseModel,
     PolarizerConfig,
     PreparedState,
-    RunResult,
     calibrate_alpha,
     estimate_report,
     plate_transmittance,
-    polarizer_operator,
     prepare,
     run_setting,
-    run_state_setting,
     sample_coincidences,
-    singlet,
+    stack_transmittance,
 )
 from .protocol import (
-    EntangledDecomposition,
     EquatorialState,
-    ObservablePair,
-    ProbeBasis,
     ScanResult,
     UncertaintyReport,
     VonNeumannCounterexample,
-    decompose,
-    entangle,
-    inferred_means,
-    joint_probabilities,
+    joint_distribution,
     make_equatorial,
     max_product,
     min_product,
     numeric_c_scan,
-    observable_pair,
-    probe_basis,
-    probe_basis_for_overlap,
-    rescaled_eigenvalues,
+    sharp_deltas,
     sharp_probabilities,
-    sharp_uncertainties,
     unsharp_uncertainties,
     von_neumann_counterexample,
 )

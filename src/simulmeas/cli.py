@@ -19,18 +19,17 @@ calibration or empty ensemble, 5 I/O error.
 from __future__ import annotations
 
 import argparse
-import csv
-import io
 import json
 import math
 import os
 import sys
 from dataclasses import dataclass
 
+import numpy as np
+
 from . import experiment, protocol
 from .errors import (
     CalibrationInfeasibleError,
-    DegenerateBasisError,
     EmptyEnsembleError,
     RescalingSingularError,
     UsageError,
@@ -51,6 +50,9 @@ SWEEP_NOTE = ("products are symmetric about w_a_plus = 0.5; "
 
 # the multinomial sampler draws int64 counts
 MAX_SHOTS = 2 ** 63 - 1
+# largest sweep grid: ten times the largest sweep perfbench runs; rendering
+# JSON peaks at about 2.5 kB of memory a row (257 MB at 100 001 rows)
+MAX_GRID = 10 ** 6
 
 _CONFIG_KEYS = {"seed": int, "shots": int, "visibility": float,
                 "index": float, "grid": int, "format": str}
@@ -123,61 +125,43 @@ def merge_config(args: argparse.Namespace) -> RunConfig:
 
 
 # --------------------------------------------------------------------------
-# sweep rows
+# sweep columns
 
-@dataclass(frozen=True)
-class SweepRow:
-    w_a_plus: float
-    delta_a: float
-    delta_b: float
-    c_opt: float
-    min_product: float
-    max_product: float
-    sharp_product: float
-
-
-def sweep_row(w: float) -> SweepRow:
+def sweep_columns(w: np.ndarray) -> dict:
+    """The sweep's `SWEEP_COLUMNS` as arrays over the w_a_plus values ``w``."""
     delta_a, delta_b = protocol.sharp_deltas(w)
     value, c_opt = protocol.min_product(delta_a, delta_b)
-    if 0.0 < c_opt < 1.0:
-        maxp = protocol.max_product(c_opt)
-    else:
-        maxp = math.inf
-    return SweepRow(w_a_plus=w, delta_a=delta_a, delta_b=delta_b, c_opt=c_opt,
-                    min_product=value, max_product=maxp,
-                    sharp_product=delta_a * delta_b)
+    # the maximum product diverges where c_opt reaches 0 or 1
+    interior = (c_opt > 0.0) & (c_opt < 1.0)
+    max_p = np.full_like(c_opt, math.inf)
+    max_p[interior] = protocol.max_product(c_opt[interior])
+    return dict(zip(SWEEP_COLUMNS, (w, delta_a, delta_b, c_opt, value, max_p,
+                                    delta_a * delta_b)))
 
 
-def sweep_rows(w_values) -> list[SweepRow]:
-    rows = [sweep_row(float(w)) for w in w_values]
-    for prev, cur in zip(rows, rows[1:]):
-        if cur.w_a_plus <= prev.w_a_plus:
-            raise UsageError("sweep grid must be strictly increasing in w_a_plus")
-    return rows
-
-
-def _sweep_grid(grid: int, full_range: bool) -> list[float]:
-    if grid < 2:
-        raise UsageError(f"grid must be >= 2, got {grid}")
+def _sweep_grid(grid: int, full_range: bool) -> np.ndarray:
+    if not 2 <= grid <= MAX_GRID:
+        raise UsageError(f"grid must be in 2..{MAX_GRID}, got {grid}")
     lo = 0.0 if full_range else 0.5
     step = (1.0 - lo) / (grid - 1)
-    return [lo + step * i for i in range(grid)]
+    return lo + step * np.arange(grid)
 
 
-def render_sweep_csv(rows) -> str:
-    buf = io.StringIO()
-    buf.write(f"# {SWEEP_NOTE}\n")
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(SWEEP_COLUMNS)
-    for r in rows:
-        writer.writerow([_fmt(getattr(r, col)) for col in SWEEP_COLUMNS])
-    return buf.getvalue()
+def _sweep_table(columns: dict):
+    return zip(*(columns[col].tolist() for col in SWEEP_COLUMNS))
 
 
-def render_sweep_json(rows) -> str:
+def render_sweep_csv(columns: dict) -> str:
+    lines = [f"# {SWEEP_NOTE}", ",".join(SWEEP_COLUMNS)]
+    lines += [",".join(map(_fmt, row)) for row in _sweep_table(columns)]
+    return "\n".join(lines) + "\n"
+
+
+def render_sweep_json(columns: dict) -> str:
     doc = {
         "note": SWEEP_NOTE,
-        "rows": [{col: _json_value(getattr(r, col)) for col in SWEEP_COLUMNS} for r in rows],
+        "rows": [{col: _json_value(v) for col, v in zip(SWEEP_COLUMNS, row)}
+                 for row in _sweep_table(columns)],
     }
     return json.dumps(doc, indent=2) + "\n"
 
@@ -213,10 +197,10 @@ def cmd_state(args) -> int:
     s = protocol.make_equatorial(args.w, sign)
     pa = protocol.sharp_probabilities(s, "A")
     pb = protocol.sharp_probabilities(s, "B")
-    delta_a, delta_b = protocol.sharp_uncertainties(s)
+    delta_a, delta_b = protocol.sharp_deltas(s.w_a_plus)
     report = protocol.unsharp_uncertainties(s, args.c)
     value, c_opt = protocol.min_product(delta_a, delta_b)
-    scan = protocol.numeric_c_scan(s, grid_size=1000)
+    scan = protocol.numeric_c_scan(s)
 
     print(f"equatorial state: w_a_plus = {_fmt(s.w_a_plus)}, sign = {args.sign}")
     print(f"amplitudes: [{_fmt(s.amplitudes[0].real)}, {_fmt(s.amplitudes[1].real)}]")
@@ -241,52 +225,43 @@ def cmd_state(args) -> int:
 
 def cmd_sweep(args) -> int:
     cfg = merge_config(args)
-    rows = sweep_rows(_sweep_grid(cfg.grid, args.full_range))
-    text = render_sweep_json(rows) if cfg.format == "json" else render_sweep_csv(rows)
+    columns = sweep_columns(_sweep_grid(cfg.grid, args.full_range))
+    text = render_sweep_json(columns) if cfg.format == "json" else render_sweep_csv(columns)
     _write_text(cfg.out, text)
     return EXIT_OK
 
 
 def cmd_calibrate(args) -> int:
     cfg = merge_config(args)
-    t_s = experiment.plate_transmittance(cfg.index) ** args.plates
+    t_s = experiment.stack_transmittance(args.plates, cfg.index)
     print(f"plates = {args.plates}  index = {_fmt(cfg.index)}  t_s = {_fmt(t_s)}")
     roots = experiment.calibrate_alpha(args.plates, cfg.index)
     print("root  alpha_rad         c                 w_a_plus          "
           "min_product       residual")
     for k, alpha in enumerate(roots, start=1):
-        pol = experiment.PolarizerConfig.from_plates(args.plates, alpha, cfg.index)
-        d = experiment.prepare(pol).decomposition
-        delta_a, delta_b = protocol.sharp_deltas(d.w_a_plus)
-        value, c_opt = protocol.min_product(delta_a, delta_b)
-        print(f"{k:<5d} {_fmt(alpha):<18s}{_fmt(d.c):<18s}{_fmt(d.w_a_plus):<18s}"
-              f"{_fmt(value):<18s}{_fmt(abs(d.c - c_opt))}")
+        st = experiment.prepare(
+            experiment.PolarizerConfig.from_plates(args.plates, alpha, cfg.index))
+        value, c_opt = protocol.min_product(st.delta_a, st.delta_b)
+        print(f"{k:<5d} {_fmt(alpha):<18s}{_fmt(st.c):<18s}{_fmt(st.w_a_plus):<18s}"
+              f"{_fmt(value):<18s}{_fmt(abs(st.c - c_opt))}")
     return EXIT_OK
 
 
-def _resolve_mc_setting(args, cfg: RunConfig):
-    """Return (w, c, run) where run(shots, seed, noise) -> (counts, report)."""
+def _resolve_mc_setting(args, cfg: RunConfig) -> tuple[float, float, float, float]:
+    """(w, c, x, y) of the setting to sample: a calibrated stack or an explicit point."""
     if args.plates is not None:
         if args.w is not None or args.c is not None:
             raise UsageError("give either --plates/--root or --w/--c, not both")
         roots = experiment.calibrate_alpha(args.plates, cfg.index)
         if not 1 <= args.root <= len(roots):
             raise UsageError(f"--root must be in 1..{len(roots)} for {args.plates} plates")
-        pol = experiment.PolarizerConfig.from_plates(args.plates, roots[args.root - 1], cfg.index)
-        d = experiment.prepare(pol).decomposition
-
-        def run(shots, seed, noise):
-            result = experiment.run_setting(pol, shots, seed, noise)
-            return result.counts, result.report
-
-        return d.w_a_plus, d.c, run
+        st = experiment.prepare(
+            experiment.PolarizerConfig.from_plates(args.plates, roots[args.root - 1], cfg.index))
+        return st.w_a_plus, st.c, st.x, st.y
     if args.w is None or args.c is None:
         raise UsageError("mc needs either --plates (with --root) or both --w and --c")
-
-    def run(shots, seed, noise):
-        return experiment.run_state_setting(args.w, args.c, shots, seed, noise)
-
-    return args.w, args.c, run
+    delta_a, _ = protocol.sharp_deltas(args.w)
+    return args.w, args.c, 2.0 * args.w - 1.0, delta_a
 
 
 def cmd_mc(args) -> int:
@@ -295,11 +270,15 @@ def cmd_mc(args) -> int:
         raise UsageError(f"seed must be a non-negative integer, got {cfg.seed}")
     if not 1 <= cfg.shots <= MAX_SHOTS:
         raise UsageError(f"shots must be in 1..{MAX_SHOTS}, got {cfg.shots}")
-    w, c, run = _resolve_mc_setting(args, cfg)
+    w, c, x, y = _resolve_mc_setting(args, cfg)
     noise = experiment.NoiseModel(visibility=cfg.visibility)
-    counts, report = run(cfg.shots, cfg.seed, noise)
+    # checked in a fixed order, visibility, c, w, so an input with several
+    # faults always gets the same exit code
+    protocol.probe_noise(c)
+    protocol.make_equatorial(w)
+    counts, report = experiment.run_setting(x, y, c, cfg.shots, cfg.seed, noise)
 
-    delta_a, delta_b = protocol.sharp_deltas(w)
+    delta_a, delta_b = abs(y), abs(x)
     analytic = protocol.unsharp_product(delta_a, delta_b, c)
     print(f"setting: w_a_plus = {_fmt(w)}  c = {_fmt(c)}  shots = {counts.shots}  "
           f"seed = {counts.seed}  visibility = {_fmt(cfg.visibility)}")
@@ -375,7 +354,7 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (RescalingSingularError, DegenerateBasisError) as exc:
+    except RescalingSingularError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_SINGULAR
     except CalibrationInfeasibleError as exc:

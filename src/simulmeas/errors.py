@@ -21,10 +21,6 @@ class RescalingSingularError(SimulmeasError):
     """
 
 
-class DegenerateBasisError(SimulmeasError):
-    """No informative probe measurement basis exists (conditional probe states coincide)."""
-
-
 class EmptyEnsembleError(SimulmeasError):
     """Post-selection removed every event (zero transmission on both polarizer axes)."""
 

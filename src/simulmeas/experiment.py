@@ -8,17 +8,18 @@ amplitude t_s set by the plate count. Rotated by alpha from the vertical
 |A+> direction, it turns the post-selected singlet into the protocol's
 partially entangled family: alpha = 0 leaves the probe conditionals
 orthogonal (c = 0) while biasing w_a_plus above 1/2; a perfect polarizer at
-alpha = pi/4 gives a product state (c = 1) with w_a_plus = 1/2. For a fixed
-stack, w and c cannot be tuned independently: only the rotation angles where
-c matches sqrt(delta_a/(delta_a+delta_b)) reach the minimum simultaneous
-uncertainty product, and `calibrate_alpha` finds them.
+alpha = pi/4 gives a product state (c = 1) with w_a_plus = 1/2. `prepare`
+gives the prepared state in closed form. For a fixed stack, w and c cannot
+be tuned independently: only the rotation angles where c matches
+sqrt(delta_a/(delta_a+delta_b)) reach the minimum simultaneous uncertainty
+product, and `calibrate_alpha` finds them.
 
 Coincidence counting is modeled as seeded multinomial sampling over the four
-joint outcomes, with an optional visibility knob mixing in a uniform
-background to mimic imperfect state purity. `estimate_report` rebuilds the
-uncertainty product from raw counts exactly the way the measured data would
-be processed: empirical marginals, rescaled two-point distributions, then
-standard deviations.
+joint outcomes of `protocol.joint_distribution`, with an optional
+visibility knob mixing in a uniform background to mimic imperfect state
+purity. `estimate_report` rebuilds the uncertainty product from raw counts
+exactly the way the measured data would be processed: empirical marginals,
+rescaled two-point distributions, then standard deviations.
 """
 
 from __future__ import annotations
@@ -26,15 +27,13 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
-from . import protocol, qmath
+from . import protocol
 from .errors import (
     CalibrationInfeasibleError,
     EmptyEnsembleError,
-    RescalingSingularError,
     UsageError,
 )
 
@@ -43,10 +42,8 @@ __all__ = [
     "PreparedState",
     "CoincidenceCounts",
     "NoiseModel",
-    "RunResult",
-    "singlet",
     "plate_transmittance",
-    "polarizer_operator",
+    "stack_transmittance",
     "prepare",
     "calibrate_alpha",
     "threshold_index",
@@ -54,7 +51,6 @@ __all__ = [
     "report_from_probabilities",
     "estimate_report",
     "run_setting",
-    "run_state_setting",
 ]
 
 DEFAULT_REFRACTIVE_INDEX = 1.5
@@ -62,12 +58,7 @@ DEFAULT_SHOTS = 100_000
 
 
 # --------------------------------------------------------------------------
-# source and polarizer
-
-def singlet() -> np.ndarray:
-    """Post-selected two-photon polarization singlet, (0, 1, -1, 0)/sqrt(2)."""
-    return np.array([0.0, 1.0, -1.0, 0.0], dtype=complex) / math.sqrt(2.0)
-
+# polarizer and the prepared state
 
 def plate_transmittance(refractive_index: float) -> float:
     """Per-plate s-polarization amplitude transmittance at Brewster incidence.
@@ -75,12 +66,30 @@ def plate_transmittance(refractive_index: float) -> float:
     Each plate has two air/glass interfaces; at the Brewster angle the
     single-interface s intensity transmittance is 4n^2/(1+n^2)^2, so the
     per-plate amplitude sqrt(T1*T2) equals that same expression. The p
-    polarization passes without reflection.
+    polarization passes without reflection. An index so large that the
+    expression leaves the float range is refused.
     """
     n = float(refractive_index)
     if not n > 1.0:
         raise UsageError(f"refractive index must exceed 1, got {n}")
-    return 4.0 * n * n / (1.0 + n * n) ** 2
+    try:
+        t = 4.0 * n * n / (1.0 + n * n) ** 2
+    except OverflowError:
+        t = math.nan
+    if not math.isfinite(t):
+        raise UsageError(f"refractive index {n:g} is out of range: "
+                         "the plate transmittance is not finite")
+    return t
+
+
+def stack_transmittance(plate_count: int, refractive_index: float) -> float:
+    """s amplitude transmittance t_s = t^N of an N-plate stack, t per plate."""
+    if plate_count < 1:
+        raise UsageError(f"plate_count must be >= 1, got {plate_count}")
+    try:
+        return plate_transmittance(refractive_index) ** plate_count
+    except OverflowError:
+        raise UsageError(f"plate_count {plate_count} is too large") from None
 
 
 @dataclass(frozen=True)
@@ -114,45 +123,60 @@ class PolarizerConfig:
     @classmethod
     def from_plates(cls, plate_count: int, alpha: float,
                     refractive_index: float = DEFAULT_REFRACTIVE_INDEX) -> "PolarizerConfig":
-        t_s = plate_transmittance(refractive_index) ** plate_count
+        t_s = stack_transmittance(plate_count, refractive_index)
         return cls(plate_count=plate_count, refractive_index=float(refractive_index),
                    alpha=float(alpha), t_p=1.0, t_s=t_s)
 
 
-def polarizer_operator(cfg: PolarizerConfig) -> np.ndarray:
-    """Jones operator of the rotated stack in the A basis.
-
-    R(alpha) diag(t_p, t_s) R(-alpha): Hermitian with eigenvalues
-    {t_p, t_s}; the t_p eigenvector is the high-transmission axis at angle
-    alpha from |A+>.
-    """
-    c, s = math.cos(cfg.alpha), math.sin(cfg.alpha)
-    rot = np.array([[c, -s], [s, c]])
-    return (rot @ np.diag([cfg.t_p, cfg.t_s]) @ rot.T).astype(complex)
-
-
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class PreparedState:
-    """Normalized post-selected state with its yield and decomposition."""
+    """The post-selected pair state in the protocol's terms, and its yield.
 
-    state: np.ndarray
+    The state is sqrt(w)|A+> (x) m+ + sign*sqrt(1-w)|A-> (x) m- with probe
+    overlap ``c = |<m+|m->|``; ``x = 2w - 1`` and ``y = sign*2 sqrt(w(1-w))``
+    are the object's A and B Bloch components in that form.
+    """
+
+    w_a_plus: float
+    c: float
+    x: float
+    y: float
     success_probability: float
-    decomposition: protocol.EntangledDecomposition
+
+    @property
+    def delta_a(self) -> float:
+        return abs(self.y)
+
+    @property
+    def delta_b(self) -> float:
+        return abs(self.x)
 
 
 def prepare(cfg: PolarizerConfig) -> PreparedState:
     """Send the singlet's object photon through the polarizer and post-select.
 
-    The squared norm of the filtered state is the post-selection yield,
-    (t_p^2 + t_s^2)/2 independent of alpha by singlet isotropy.
+    With P = t_p^2, S = t_s^2, k = (P - S)/(P + S) and
+    a = 4PS/(P + S)^2 = 1 - k^2, the post-selected state has
+
+        x = k cos 2alpha,   delta_a = sqrt(a + k^2 sin^2 2alpha),
+        y = sgn(sin 2alpha) delta_a,   c = k |sin 2alpha| / delta_a,
+
+    w = (1 + x)/2, and yield (P + S)/2, independent of alpha by singlet
+    isotropy. sqrt(a) = 2 t_p t_s/(P + S) is formed directly, so delta_a
+    keeps full relative precision for thick stacks. At delta_a = 0 (t_s = 0
+    at alpha = 0) the object is an A eigenstate and c is reported as 1.
     """
-    raw = qmath.apply_to_object(polarizer_operator(cfg), singlet())
-    p_ok = float(np.vdot(raw, raw).real)
-    if p_ok < 1e-30:
+    p, s = cfg.t_p * cfg.t_p, cfg.t_s * cfg.t_s
+    total = p + s
+    if 0.5 * total < 1e-30:
         raise EmptyEnsembleError("polarizer blocks both axes; post-selection keeps nothing")
-    state = raw / math.sqrt(p_ok)
-    return PreparedState(state=state, success_probability=p_ok,
-                         decomposition=protocol.decompose(state))
+    k = (p - s) / total
+    sin2, cos2 = math.sin(2.0 * cfg.alpha), math.cos(2.0 * cfg.alpha)
+    x = k * cos2
+    delta_a = math.hypot(2.0 * cfg.t_p * cfg.t_s / total, k * sin2)
+    c = k * abs(sin2) / delta_a if delta_a > 0.0 else 1.0
+    return PreparedState(w_a_plus=0.5 * (1.0 + x), c=c, x=x, y=math.copysign(delta_a, sin2),
+                         success_probability=0.5 * total)
 
 
 # --------------------------------------------------------------------------
@@ -220,9 +244,7 @@ def calibrate_alpha(plate_count: int,
     left with no root, raises `CalibrationInfeasibleError` carrying the
     margin k^2 - k_min^2 and the threshold index n*(N).
     """
-    if plate_count < 1:
-        raise UsageError(f"plate_count must be >= 1, got {plate_count}")
-    t_s = plate_transmittance(refractive_index) ** plate_count
+    t_s = stack_transmittance(plate_count, refractive_index)
     t2 = t_s * t_s
     k = (1.0 - t2) / (1.0 + t2)
     k2 = k * k
@@ -324,38 +346,39 @@ def report_from_probabilities(p_hat, shots: int, c_measured: float) -> protocol.
     product's standard error comes from the multinomial delta method.
     """
     c = float(c_measured)
-    if not 0.0 < c < 1.0:
-        raise RescalingSingularError(f"measured overlap c = {c} is singular")
+    noise_a, noise_b = protocol.probe_noise(c)
     probs = np.asarray(p_hat, dtype=float).ravel()
     if probs.shape != (4,):
         raise UsageError(f"expected 4 outcome frequencies, got shape {probs.shape}")
+    if abs(probs.sum() - 1.0) > 1e-9:
+        raise UsageError(f"outcome frequencies sum to {probs.sum():.15g}, not 1")
     if shots < 1:
         raise UsageError(f"shots must be >= 1, got {shots}")
 
-    x = float(probs[0] + probs[1])  # object B+ marginal
-    y = float(probs[0] + probs[2])  # probe M+ marginal
-    if min(x, 1.0 - x, y, 1.0 - y) <= 0.0:
+    b_plus = float(probs[0] + probs[1])  # object B+ marginal
+    m_plus = float(probs[0] + probs[2])  # probe M+ marginal
+    if min(b_plus, 1.0 - b_plus, m_plus, 1.0 - m_plus) <= 0.0:
         warnings.warn("a marginal has zero weight; uncertainty estimate is degenerate",
                       stacklevel=2)
 
-    one_minus = 1.0 - c * c
-    x_var = max(x * (1.0 - x), 0.0)
-    y_var = max(y * (1.0 - y), 0.0)
-    db_prime = 2.0 / c * math.sqrt(x_var)
-    da_prime = 2.0 / math.sqrt(one_minus) * math.sqrt(y_var)
+    b_var = max(b_plus * (1.0 - b_plus), 0.0)
+    m_var = max(m_plus * (1.0 - m_plus), 0.0)
+    db_prime = 2.0 / c * math.sqrt(b_var)
+    da_prime = 2.0 / math.sqrt(1.0 - c * c) * math.sqrt(m_var)
     product = da_prime * db_prime
 
-    delta_a = math.sqrt(max(da_prime ** 2 - c * c / one_minus, 0.0))
-    delta_b = math.sqrt(max(db_prime ** 2 - one_minus / (c * c), 0.0))
+    delta_a = math.sqrt(max(da_prime ** 2 - noise_a, 0.0))
+    delta_b = math.sqrt(max(db_prime ** 2 - noise_b, 0.0))
 
-    # delta-method standard error of the product; x and y share the (B+,M+)
-    # cell, hence the covariance term
-    if x_var > 0.0 and y_var > 0.0:
-        k2 = product / (2.0 * x_var) * (1.0 - 2.0 * x), product / (2.0 * y_var) * (1.0 - 2.0 * y)
-        var_x = x_var / shots
-        var_y = y_var / shots
-        cov_xy = (float(probs[0]) - x * y) / shots
-        variance = k2[0] ** 2 * var_x + k2[1] ** 2 * var_y + 2.0 * k2[0] * k2[1] * cov_xy
+    # delta-method standard error of the product; the two marginals share
+    # the (B+,M+) cell, hence the covariance term
+    if b_var > 0.0 and m_var > 0.0:
+        k2 = (product / (2.0 * b_var) * (1.0 - 2.0 * b_plus),
+              product / (2.0 * m_var) * (1.0 - 2.0 * m_plus))
+        var_b = b_var / shots
+        var_m = m_var / shots
+        cov = (float(probs[0]) - b_plus * m_plus) / shots
+        variance = k2[0] ** 2 * var_b + k2[1] ** 2 * var_m + 2.0 * k2[0] * k2[1] * cov
         stderr = math.sqrt(max(variance, 0.0))
     else:
         stderr = 0.0
@@ -375,48 +398,15 @@ def estimate_report(counts: CoincidenceCounts, c_measured: float) -> protocol.Un
                                      counts.shots, c_measured)
 
 
-# --------------------------------------------------------------------------
-# end-to-end settings
+def run_setting(x: float, y: float, c: float, shots: int, seed: int,
+                noise: NoiseModel = NoiseModel()
+                ) -> tuple[CoincidenceCounts, protocol.UncertaintyReport]:
+    """Simulate a coincidence run at Bloch components (x, y) and overlap c.
 
-class RunResult(NamedTuple):
-    prepared: PreparedState
-    counts: CoincidenceCounts
-    report: protocol.UncertaintyReport
-
-
-def run_setting(cfg: PolarizerConfig, shots: int, seed: int,
-                noise: NoiseModel = NoiseModel()) -> RunResult:
-    """Prepare, measure, sample and estimate one polarizer setting.
-
-    The report's c_used is the prepared decomposition's overlap, i.e. a
-    perfectly calibrated "measured" c.
+    Samples `protocol.joint_distribution(x, y, c)` and reduces the counts
+    with the exact c as the measured overlap, i.e. a perfectly calibrated
+    one. Works for object eigenstates (x = +-1) too.
     """
-    prepared = prepare(cfg)
-    c = prepared.decomposition.c
-    if not 0.0 < c < 1.0:
-        raise RescalingSingularError(
-            f"prepared state has singular overlap c = {c:.6g} "
-            f"(alpha = {cfg.alpha:.6g}, t_s = {cfg.t_s:.6g}); outcomes cannot be rescaled")
-    basis = protocol.probe_basis(prepared.decomposition)
-    pair = protocol.observable_pair()
-    p = protocol.joint_probabilities(prepared.state, pair, basis)
-    counts = sample_coincidences(p.ravel(), shots, seed, noise)
-    return RunResult(prepared, counts, estimate_report(counts, c))
-
-
-def run_state_setting(w_a_plus: float, c: float, shots: int, seed: int,
-                      noise: NoiseModel = NoiseModel(), sign: int = +1
-                      ) -> tuple[CoincidenceCounts, protocol.UncertaintyReport]:
-    """Simulate a coincidence measurement at an explicit (w, c) point.
-
-    The probe basis comes from the overlap's canonical conditional pair, so
-    object eigenstates (w of 0 or 1) are measurable too.
-    """
-    if not 0.0 < float(c) < 1.0:
-        raise RescalingSingularError(f"overlap c = {c} is singular; outcomes cannot be rescaled")
-    s = protocol.make_equatorial(w_a_plus, sign)
-    state = protocol.entangle(s, c)
-    basis = protocol.probe_basis_for_overlap(c)
-    p = protocol.joint_probabilities(state, protocol.observable_pair(), basis)
-    counts = sample_coincidences(p.ravel(), shots, seed, noise)
+    protocol.probe_noise(c)  # a singular overlap cannot be rescaled
+    counts = sample_coincidences(protocol.joint_distribution(x, y, c), shots, seed, noise)
     return counts, estimate_report(counts, c)

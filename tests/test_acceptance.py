@@ -53,15 +53,15 @@ def test_criterion_01_closed_form_vs_brute_force():
     worst_value, worst_argmin = 0.0, 0.0
     for w in w_values[1:-1]:
         s = protocol.make_equatorial(float(w))
-        scan = protocol.numeric_c_scan(s, 1000)
-        value, c_opt = protocol.min_product(*protocol.sharp_uncertainties(s))
+        scan = protocol.numeric_c_scan(s)
+        value, c_opt = protocol.min_product(*protocol.sharp_deltas(s.w_a_plus))
         worst_value = max(worst_value, abs(scan.product_best - value))
         worst_argmin = max(worst_argmin, abs(scan.c_best - c_opt))
     # boundary cases are limits: the scan must flag them and approach the
     # limiting product 1 from above
     edge_ok = True
     for w in (0.5, 1.0):
-        scan = protocol.numeric_c_scan(protocol.make_equatorial(w), 1000)
+        scan = protocol.numeric_c_scan(protocol.make_equatorial(w))
         edge_ok &= scan.boundary and abs(scan.product_best - 1.0) < 1e-3
     elapsed = time.perf_counter() - start
     ok = worst_value <= 1e-6 and worst_argmin <= 1e-4 and edge_ok and elapsed < 1.0
@@ -127,18 +127,12 @@ def test_criterion_02_closed_form_equals_direct_variances():
 def test_criterion_03_unbiasedness():
     """Package inferred means equal sharp means to 1e-10, same random pairs."""
     w, c, sign = _random_pairs()
-    pair = protocol.observable_pair()
-    worst = 0.0
-    for wi, ci, si in zip(w, c, sign):
-        s = protocol.make_equatorial(float(wi), int(si))
-        state = protocol.entangle(s, float(ci))
-        basis = protocol.probe_basis_for_overlap(float(ci))
-        p = protocol.joint_probabilities(state, pair, basis)
-        mean_a, mean_b = protocol.inferred_means(
-            p, protocol.rescaled_eigenvalues(pair, float(ci)))
-        sharp_a = 2 * wi - 1
-        sharp_b = si * 2 * math.sqrt(wi * (1 - wi))
-        worst = max(worst, abs(mean_a - sharp_a), abs(mean_b - sharp_b))
+    sharp_a = 2 * w - 1
+    sharp_b = sign * 2 * np.sqrt(w * (1 - w))
+    p = protocol.joint_distribution(sharp_a, sharp_b, c)
+    mean_a = (p[:, 0].sum(axis=0) - p[:, 1].sum(axis=0)) / np.sqrt(1 - c ** 2)
+    mean_b = (p[0, :].sum(axis=0) - p[1, :].sum(axis=0)) / c
+    worst = float(max(np.abs(mean_a - sharp_a).max(), np.abs(mean_b - sharp_b).max()))
     ok = worst <= 1e-10
     record(3, ok, f"unbiased inference over {RANDOM_PAIRS} pairs: max mean err {worst:.2e}")
 
@@ -159,9 +153,8 @@ def test_criterion_05_max_product():
     settings, _ = calibrated_settings()
     dominated = []
     for plates, alpha in settings:
-        d = experiment.prepare(PolarizerConfig.from_plates(plates, alpha, INDEX)).decomposition
-        delta_a, delta_b = protocol.sharp_deltas(d.w_a_plus)
-        dominated.append(protocol.max_product(d.c) >= 1 + delta_a * delta_b)
+        st = experiment.prepare(PolarizerConfig.from_plates(plates, alpha, INDEX))
+        dominated.append(protocol.max_product(st.c) >= 1 + st.delta_a * st.delta_b)
     ok = abs(symmetric - 2.0) <= 1e-12 and all(dominated) and len(dominated) > 0
     record(5, ok, f"max product: value at 1/sqrt(2) = {symmetric!r}, "
                   f"dominates the floor at {len(dominated)} calibrated settings")
@@ -173,12 +166,12 @@ def test_criterion_06_preparation_endpoints():
     for t in (0.2, 0.32608476781953255, 0.7):
         cfg = PolarizerConfig(plate_count=1, refractive_index=INDEX, alpha=0.0,
                               t_p=1.0, t_s=t)
-        d = experiment.prepare(cfg).decomposition
+        d = experiment.prepare(cfg)
         worst_c = max(worst_c, d.c)
         worst_w = max(worst_w, abs(d.w_a_plus - 1 / (1 + t * t)))
     cfg = PolarizerConfig(plate_count=1, refractive_index=INDEX, alpha=math.pi / 4,
                           t_p=1.0, t_s=0.0)
-    d = experiment.prepare(cfg).decomposition
+    d = experiment.prepare(cfg)
     ok = (worst_c <= 1e-12 and worst_w <= 1e-10
           and d.c >= 1 - 1e-10 and abs(d.w_a_plus - 0.5) <= 1e-10)
     record(6, ok, f"preparation endpoints: aligned c <= {worst_c:.1e}, "
@@ -199,10 +192,9 @@ def test_criterion_07_calibration_six_settings():
             continue
         per_stack[plates] = f"{len(roots)} roots"
         for alpha in roots:
-            d = experiment.prepare(PolarizerConfig.from_plates(plates, alpha, INDEX)).decomposition
-            delta_a, delta_b = protocol.sharp_deltas(d.w_a_plus)
-            _, c_opt = protocol.min_product(delta_a, delta_b)
-            worst_residual = max(worst_residual, abs(d.c - c_opt))
+            st = experiment.prepare(PolarizerConfig.from_plates(plates, alpha, INDEX))
+            _, c_opt = protocol.min_product(st.delta_a, st.delta_b)
+            worst_residual = max(worst_residual, abs(st.c - c_opt))
     elapsed = time.perf_counter() - start
     ok = (all(v == "2 roots" for v in per_stack.values())
           and worst_residual < 1e-8 and elapsed < 5.0)
@@ -218,15 +210,13 @@ def test_criterion_08_monte_carlo_reproduces_the_floor():
     stats_ok = True
     details = []
     for plates, alpha in settings:
-        cfg = PolarizerConfig.from_plates(plates, alpha, INDEX)
-        d = experiment.prepare(cfg).decomposition
-        delta_a, delta_b = protocol.sharp_deltas(d.w_a_plus)
-        target = 1 + delta_a * delta_b
+        st = experiment.prepare(PolarizerConfig.from_plates(plates, alpha, INDEX))
+        target = 1 + st.delta_a * st.delta_b
         hits = 0
         for k in range(20):
-            result = run_setting(cfg, shots=10 ** 6, seed=MC_SEED_BASE + k)
-            err = abs(result.report.product_simultaneous - target)
-            hits += err <= 3 * result.report.product_stderr
+            _, report = run_setting(st.x, st.y, st.c, shots=10 ** 6, seed=MC_SEED_BASE + k)
+            err = abs(report.product_simultaneous - target)
+            hits += err <= 3 * report.product_stderr
         stats_ok &= hits >= 19
         details.append(f"{plates}p/{alpha:.3f}: {hits}/20")
     elapsed = time.perf_counter() - start
@@ -241,13 +231,11 @@ def test_criterion_09_noise_direction():
     settings, infeasible = calibrated_settings()
     above = []
     for plates, alpha in settings:
-        cfg = PolarizerConfig.from_plates(plates, alpha, INDEX)
-        result = run_setting(cfg, shots=10 ** 6, seed=NOISE_SEED,
-                             noise=NoiseModel(visibility=0.95))
-        d = result.prepared.decomposition
-        delta_a, delta_b = protocol.sharp_deltas(d.w_a_plus)
-        clean = protocol.unsharp_product(delta_a, delta_b, d.c)
-        above.append(result.report.product_simultaneous > clean)
+        st = experiment.prepare(PolarizerConfig.from_plates(plates, alpha, INDEX))
+        _, report = run_setting(st.x, st.y, st.c, shots=10 ** 6, seed=NOISE_SEED,
+                                noise=NoiseModel(visibility=0.95))
+        clean = protocol.unsharp_product(st.delta_a, st.delta_b, st.c)
+        above.append(report.product_simultaneous > clean)
     ok = all(above) and len(above) == 6
     record(9, ok, f"noise direction at visibility 0.95: {sum(above)}/{len(above)} "
                   f"measured products above clean values (6 required); "

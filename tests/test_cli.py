@@ -1,10 +1,12 @@
 import json
 import math
+import re
 
+import numpy as np
 import pytest
 
 from simulmeas import cli
-from simulmeas.cli import main, sweep_row, sweep_rows
+from simulmeas.cli import main, sweep_columns
 
 
 def run(capsys, *argv):
@@ -42,22 +44,27 @@ class TestStateCommand:
         assert "error" in err
 
 
+def sweep_row(w):
+    columns = sweep_columns(np.array([w]))
+    return {col: columns[col][0] for col in cli.SWEEP_COLUMNS}
+
+
 class TestSweepRows:
     def test_endpoint_rows(self):
         row = sweep_row(1.0)
-        assert row.min_product == pytest.approx(1.0)
-        assert row.sharp_product == pytest.approx(0.0)
-        assert math.isinf(row.max_product)
+        assert row["min_product"] == pytest.approx(1.0)
+        assert row["sharp_product"] == pytest.approx(0.0)
+        assert math.isinf(row["max_product"])
 
     def test_symmetric_row(self):
         row = sweep_row((2 + math.sqrt(2)) / 4)
-        assert row.min_product == pytest.approx(1.5, abs=1e-12)
-        assert row.max_product == pytest.approx(2.0, abs=1e-12)
+        assert row["min_product"] == pytest.approx(1.5, abs=1e-12)
+        assert row["max_product"] == pytest.approx(2.0, abs=1e-12)
 
     def test_row_invariant(self):
-        for w in (0.5, 0.62, 0.85, 0.99, 1.0):
-            row = sweep_row(w)
-            assert row.min_product == pytest.approx(1 + row.sharp_product, abs=1e-12)
+        columns = sweep_columns(np.array([0.5, 0.62, 0.85, 0.99, 1.0]))
+        np.testing.assert_allclose(columns["min_product"], 1 + columns["sharp_product"],
+                                   rtol=0, atol=1e-12)
 
     def test_min_product_continuity(self):
         # the sharp product has a square-root cusp at w = 1 where its slope
@@ -65,18 +72,23 @@ class TestSweepRows:
         # analytic modulus of continuity everywhere and the tight bound away
         # from the cusp
         step = 0.5 / 199
-        rows = sweep_rows([0.5 + step * i for i in range(200)])
-        for prev, cur in zip(rows, rows[1:]):
-            delta = abs(cur.min_product - prev.min_product)
-            envelope = 2 * step + 2 * math.sqrt(2) * (
-                math.sqrt(1 - prev.w_a_plus) - math.sqrt(max(1 - cur.w_a_plus, 0.0)))
-            assert delta <= envelope + 1e-9
-            if cur.w_a_plus <= 0.95:
-                assert delta < 0.01
+        columns = sweep_columns(0.5 + step * np.arange(200))
+        w, value = columns["w_a_plus"], columns["min_product"]
+        delta = np.abs(np.diff(value))
+        envelope = 2 * step + 2 * math.sqrt(2) * (
+            np.sqrt(1 - w[:-1]) - np.sqrt(np.maximum(1 - w[1:], 0.0)))
+        assert np.all(delta <= envelope + 1e-9)
+        assert np.all(delta[w[1:] <= 0.95] < 0.01)
 
-    def test_rejects_unordered_grid(self):
-        with pytest.raises(Exception):
-            sweep_rows([0.6, 0.5])
+    def test_columns_match_the_scalar_closed_forms(self):
+        columns = sweep_columns(np.linspace(0.0, 1.0, 101))
+        for k, w in enumerate(columns["w_a_plus"].tolist()):
+            delta_a, delta_b = cli.protocol.sharp_deltas(w)
+            value, c_opt = cli.protocol.min_product(delta_a, delta_b)
+            assert columns["delta_a"][k] == delta_a and columns["c_opt"][k] == c_opt
+            assert columns["min_product"][k] == value
+            if 0 < c_opt < 1:
+                assert columns["max_product"][k] == cli.protocol.max_product(c_opt)
 
 
 class TestSweepCommand:
@@ -120,6 +132,12 @@ class TestSweepCommand:
         assert main(["sweep", "--grid", "101", "--out", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
 
+    @pytest.mark.parametrize("grid", ["1", "0", "-5", str(cli.MAX_GRID + 1), "1000000000000"])
+    def test_rejects_grid_out_of_range(self, capsys, grid):
+        code, out, err = run(capsys, "sweep", "--grid", grid)
+        assert code == cli.EXIT_USAGE and out == ""
+        assert err.startswith("error:") and str(cli.MAX_GRID) in err
+
     def test_unwritable_output(self, capsys, tmp_path):
         code, _, err = run(capsys, "sweep", "--out", str(tmp_path / "no" / "dir.csv"))
         assert code == cli.EXIT_IO
@@ -140,6 +158,24 @@ class TestCalibrateCommand:
         assert code == cli.EXIT_INFEASIBLE
         assert "margin k^2 - k_min^2 = -0.0705435" in err
         assert "n* = 1.5375383" in err
+
+    @pytest.mark.parametrize("plates, index", [("60", "1.7"), ("100", "1.5"), ("200", "1.5")])
+    def test_thick_stack_residuals_are_exact(self, capsys, plates, index):
+        # delta_a comes from the stack parameters, not from a rounded w
+        code, out, _ = run(capsys, "calibrate", "--plates", plates, "--index", index)
+        assert code == 0
+        lines = [l for l in out.splitlines() if l and l[0].isdigit()]
+        assert lines
+        for line in lines:
+            assert float(line.split()[-1]) <= 1e-12
+
+    @pytest.mark.parametrize("index", ["inf", "1e200", "nan"])
+    def test_rejects_index_without_finite_transmittance(self, capsys, index):
+        for argv in (["calibrate", "--plates", "10"],
+                     ["mc", "--plates", "10", "--shots", "100"]):
+            code, _, err = run(capsys, *argv, "--index", index)
+            assert code == cli.EXIT_USAGE
+            assert err.startswith("error:") and "Traceback" not in err
 
     def test_alternate_index(self, capsys):
         code, out, _ = run(capsys, "calibrate", "--plates", "7", "--index", "1.55")
@@ -185,6 +221,26 @@ class TestMcCommand:
         points = [json.loads(line) for line in out_path.read_text().splitlines()]
         assert [p["seed"] for p in points] == [1, 2]
         assert all(set(p) == set(cli.MC_COLUMNS) for p in points)
+
+    def test_thick_stack_setting(self, capsys):
+        # the root near alpha = 0 of a 200-plate stack: delta_a and delta_b
+        # come from the prepared state, so the analytic product sits on the floor
+        code, out, _ = run(capsys, "mc", "--plates", "200", "--shots", "1000")
+        assert code == 0
+        analytic, floor = map(float, re.findall(
+            r"analytic product = (\S+)  minimum possible = (\S+)", out)[0])
+        assert analytic == pytest.approx(floor, rel=1e-12)
+
+    def test_overlap_next_to_one(self, capsys):
+        code, out, _ = run(capsys, "mc", "--w", "0.7", "--c", str(1 - 1e-13), "--shots", "100")
+        assert code == 0 and "measured product" in out
+
+    @pytest.mark.parametrize("argv", [["state", "--w", "0.5", "--c", "1e-300"],
+                                      ["mc", "--w", "0.5", "--c", "1e-300", "--shots", "100"]])
+    def test_underflowing_overlap_is_singular(self, capsys, argv):
+        code, _, err = run(capsys, *argv)
+        assert code == cli.EXIT_SINGULAR
+        assert err.startswith("error:") and "singular" in err
 
     def test_singular_explicit_overlap(self, capsys):
         code, _, err = run(capsys, "mc", "--w", "0.7", "--c", "0", "--shots", "10")
@@ -248,3 +304,72 @@ class TestConfigFile:
         code, _, err = run(capsys, "--config", str(cfg), "sweep", "--grid", "3")
         assert code == cli.EXIT_USAGE
         assert "unknown config key" in err
+
+
+def _huge(n_digits=400):
+    return "9" * n_digits
+
+
+ADVERSARIAL = [
+    *[["state", "--w", w, "--c", c] for w, c in (
+        ("nan", "0.5"), ("inf", "0.5"), ("-0.5", "0.5"), ("0.5", "nan"), ("0.5", "inf"),
+        ("0.5", "-0.5"), ("0.5", "1e-300"), ("0.5", "1e-160"), ("0", "1e-320"),
+        ("1", "0.9999999999999999"))],
+    *[["sweep", "--grid", g] for g in ("-1", "0", "1", _huge(), "nan")],
+    ["sweep", "--grid", "1000000000000"],
+    *[["calibrate", "--plates", p] for p in ("-3", "0", _huge(), "10000000000000000000000")],
+    *[["calibrate", "--plates", "10", "--index", i] for i in ("nan", "inf", "-inf", "-1.5",
+                                                                "1e200", "1e154", "1e100")],
+    *[["mc", "--plates", "10", "--shots", "100", *extra] for extra in (
+        ["--index", "inf"], ["--index", "nan"], ["--root", _huge()], ["--root", "-1"],
+        ["--root", "0"], ["--seed", _huge()], ["--shots", _huge()], ["--shots", "-1"],
+        ["--visibility", "nan"], ["--visibility", "inf"], ["--visibility", "-0.1"])],
+    ["mc", "--plates", _huge(), "--shots", "100"],
+    ["mc", "--plates", "10000000000000000000000", "--shots", "100"],
+    ["mc", "--plates", "-1", "--shots", "100"],
+    ["mc", "--plates", "200", "--shots", "1000"],
+    *[["mc", "--w", w, "--c", c, "--shots", "100"] for w, c in (
+        ("nan", "0.5"), ("inf", "0.5"), ("-1", "0.5"), ("1e300", "0.5"), ("0.5", "nan"),
+        ("0.5", "inf"), ("0.5", "-1"), ("0.5", "1e-300"), ("0.5", "1e-160"), ("0", "0.5"),
+        ("1", "0.5"), ("1", "1e-150"), ("0.999999", "1e-150"))],
+    ["mc", "--w", "0.999999", "--c", "1e-150", "--shots", "1000000000000000000"],
+    ["mc", "--w", "0.5", "--c", "0.5", "--seed", "-1"],
+    ["mc", "--w", "0.5", "--c", "0.5", "--seed", _huge(), "--shots", "10"],
+    ["mc", "--w", "0.5", "--c", "0.5", "--shots", "0"],
+    ["mc", "--w", "0.5", "--c", "0.5", "--shots", _huge()],
+]
+
+
+class TestAdversarialInputs:
+    """Every input ends in a documented exit code with an error line, never a traceback."""
+
+    DOCUMENTED = {cli.EXIT_OK, cli.EXIT_USAGE, cli.EXIT_SINGULAR, cli.EXIT_INFEASIBLE,
+                  cli.EXIT_IO}
+
+    def check(self, capsys, argv):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse refuses what it cannot parse
+            code = exc.code
+        err = capsys.readouterr().err
+        assert code in self.DOCUMENTED, (argv, code, err)
+        assert "Traceback" not in err
+        if code != cli.EXIT_OK:
+            assert "error" in err
+
+    @pytest.mark.parametrize("argv", ADVERSARIAL, ids=lambda argv: " ".join(argv)[:60])
+    def test_flags(self, capsys, argv):
+        self.check(capsys, argv)
+
+    @pytest.mark.parametrize("key", ["seed", "shots", "visibility", "index", "grid", "format"])
+    @pytest.mark.parametrize("value", ["", "nan", "inf", "-1", _huge()])
+    def test_config_values(self, capsys, tmp_path, key, value):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"{key} = {value}\n")
+        for argv in (["sweep", "--grid", "3"] if key != "grid" else ["sweep"],
+                     ["calibrate", "--plates", "10"],
+                     ["mc", "--w", "0.8", "--c", "0.6", "--shots", "10"]
+                     if key != "shots" else ["mc", "--w", "0.8", "--c", "0.6"],
+                     ["mc", "--plates", "10"] if key == "shots" else
+                     ["mc", "--plates", "10", "--shots", "10"]):
+            self.check(capsys, ["--config", str(cfg), *argv])

@@ -22,18 +22,21 @@ from simulmeas.experiment import (
     calibrate_alpha,
     estimate_report,
     plate_transmittance,
-    polarizer_operator,
     prepare,
     report_from_probabilities,
     run_setting,
-    run_state_setting,
     sample_coincidences,
-    singlet,
+    stack_transmittance,
     threshold_index,
 )
 
 # chi-square critical value, 3 degrees of freedom, significance 1e-3
 CHI2_CRIT_3DF = 16.26623619623813
+
+
+def bloch(w, sign=+1):
+    """(x, y) of the equatorial state sqrt(w)|A+> + sign sqrt(1-w)|A->."""
+    return 2 * w - 1, sign * 2 * math.sqrt(w * (1 - w))
 
 
 def fresnel_plate_amplitude(n):
@@ -59,24 +62,32 @@ def closed_form_cw(alpha, t):
 
 def optimality_residual(plates, alpha, index=1.5):
     """c - c_opt of the state the stack prepares at rotation alpha."""
-    d = prepare(PolarizerConfig.from_plates(plates, alpha, index)).decomposition
-    delta_a, delta_b = protocol.sharp_deltas(d.w_a_plus)
-    return d.c - protocol.min_product(delta_a, delta_b)[1]
+    st = prepare(PolarizerConfig.from_plates(plates, alpha, index))
+    return st.c - protocol.min_product(st.delta_a, st.delta_b)[1]
+
+
+def jones(cfg):
+    return qmath.polarizer_operator(cfg.alpha, cfg.t_p, cfg.t_s)
 
 
 class TestSinglet:
+    # the source state of the amplitude-level reference
     def test_components(self):
-        np.testing.assert_allclose(singlet(),
+        np.testing.assert_allclose(qmath.singlet(),
                                    np.array([0, 1, -1, 0]) / np.sqrt(2), atol=1e-15)
 
     def test_normalized(self):
-        assert qmath.norm(singlet()) == pytest.approx(1.0, abs=1e-15)
+        assert qmath.norm(qmath.singlet()) == pytest.approx(1.0, abs=1e-15)
 
     def test_decomposition(self):
-        d = protocol.decompose(singlet())
-        assert d.w_a_plus == pytest.approx(0.5, abs=1e-12)
-        assert d.c == pytest.approx(0.0, abs=1e-12)
-        assert d.sign == -1
+        w, sign, c, _, _ = qmath.decompose(qmath.singlet())
+        assert w == pytest.approx(0.5, abs=1e-12)
+        assert c == pytest.approx(0.0, abs=1e-12)
+        assert sign == -1
+        # an isotropic filter keeps the singlet
+        st = prepare(PolarizerConfig(plate_count=1, refractive_index=1.5, alpha=0.3,
+                                     t_p=0.5, t_s=0.5))
+        assert (st.w_a_plus, st.c, st.delta_a) == pytest.approx((0.5, 0.0, 1.0), abs=1e-15)
 
 
 class TestPlateTransmittance:
@@ -98,25 +109,44 @@ class TestPlateTransmittance:
         with pytest.raises(UsageError):
             plate_transmittance(n)
 
+    @pytest.mark.parametrize("n", [math.inf, math.nan, 1e200, 1e154, 1e100])
+    def test_rejects_index_without_finite_transmittance(self, n):
+        with pytest.raises(UsageError):
+            plate_transmittance(n)
+        with pytest.raises(UsageError):
+            calibrate_alpha(10, n)
+
+    def test_keeps_the_formula_bits(self):
+        n = 1.5
+        assert plate_transmittance(n) == 4.0 * n * n / (1.0 + n * n) ** 2
+
+    def test_stack_transmittance(self):
+        assert stack_transmittance(7, 1.5) == plate_transmittance(1.5) ** 7
+        for plates in (0, -3):
+            with pytest.raises(UsageError):
+                stack_transmittance(plates, 1.5)
+        with pytest.raises(UsageError):
+            stack_transmittance(10 ** 400, 1.5)
+
 
 class TestPolarizerOperator:
+    # the Jones operator of the amplitude-level reference
     def test_aligned_attenuates_minus_axis(self):
         cfg = PolarizerConfig(plate_count=1, refractive_index=1.5, alpha=0.0,
                               t_p=1.0, t_s=0.4)
-        np.testing.assert_allclose(polarizer_operator(cfg), np.diag([1.0, 0.4]), atol=1e-15)
+        np.testing.assert_allclose(jones(cfg), np.diag([1.0, 0.4]), atol=1e-15)
 
     def test_perfect_polarizer_is_projector(self):
         cfg = PolarizerConfig(plate_count=1, refractive_index=1.5, alpha=math.pi / 4,
                               t_p=1.0, t_s=0.0)
-        np.testing.assert_allclose(polarizer_operator(cfg),
-                                   np.full((2, 2), 0.5), atol=1e-15)
+        np.testing.assert_allclose(jones(cfg), np.full((2, 2), 0.5), atol=1e-15)
 
     def test_explicit_rotation_sandwich(self):
         cfg = PolarizerConfig(plate_count=1, refractive_index=1.5, alpha=math.pi / 6,
                               t_p=1.0, t_s=0.5)
         expected = np.array([[0.875, 0.21650635094610965],
                              [0.21650635094610965, 0.625]])
-        np.testing.assert_allclose(polarizer_operator(cfg), expected, atol=1e-15)
+        np.testing.assert_allclose(jones(cfg), expected, atol=1e-15)
 
     def test_hermitian_with_transmittance_eigenvalues(self):
         rng = np.random.default_rng(21)
@@ -124,8 +154,8 @@ class TestPolarizerOperator:
             cfg = PolarizerConfig(plate_count=3, refractive_index=1.5,
                                   alpha=rng.uniform(0, math.pi),
                                   t_p=1.0, t_s=rng.uniform(0, 1))
-            op = polarizer_operator(cfg)
-            assert qmath.is_hermitian(op)
+            op = jones(cfg)
+            np.testing.assert_allclose(op, op.conj().T, rtol=0, atol=1e-15)
             axis = np.array([math.cos(cfg.alpha), math.sin(cfg.alpha)])
             np.testing.assert_allclose(op @ axis, cfg.t_p * axis, atol=1e-12)
 
@@ -139,22 +169,34 @@ class TestPolarizerOperator:
             PolarizerConfig.from_plates(3, 0.1, refractive_index=0.9)
 
 
+def reference_state(cfg):
+    """(w, sign, c, yield, p) of the setting by the amplitude route."""
+    return qmath.prepared_joint(cfg.alpha, cfg.t_p, cfg.t_s)
+
+
 class TestPrepare:
     def test_aligned_polarizer_biases_w_only(self):
         for t in (0.2, 0.5, 0.9):
             cfg = PolarizerConfig(plate_count=1, refractive_index=1.5, alpha=0.0,
                                   t_p=1.0, t_s=t)
             prep = prepare(cfg)
-            assert prep.decomposition.c <= 1e-12
-            assert prep.decomposition.w_a_plus == pytest.approx(1 / (1 + t * t), abs=1e-10)
-            assert prep.decomposition.w_a_plus > 0.5
+            assert prep.c <= 1e-12
+            assert prep.w_a_plus == pytest.approx(1 / (1 + t * t), abs=1e-10)
+            assert prep.w_a_plus > 0.5
 
     def test_perfect_diagonal_polarizer_entangles_nothing(self):
         cfg = PolarizerConfig(plate_count=1, refractive_index=1.5, alpha=math.pi / 4,
                               t_p=1.0, t_s=0.0)
         prep = prepare(cfg)
-        assert prep.decomposition.c >= 1 - 1e-10
-        assert prep.decomposition.w_a_plus == pytest.approx(0.5, abs=1e-10)
+        assert prep.c >= 1 - 1e-10
+        assert prep.w_a_plus == pytest.approx(0.5, abs=1e-10)
+
+    def test_perfect_aligned_polarizer_is_an_a_eigenstate(self):
+        cfg = PolarizerConfig(plate_count=1, refractive_index=1.5, alpha=0.0,
+                              t_p=1.0, t_s=0.0)
+        prep = prepare(cfg)
+        assert (prep.w_a_plus, prep.c, prep.delta_a) == (1.0, 1.0, 0.0)
+        assert reference_state(cfg)[:3] == (1.0, 1, 1.0)
 
     def test_general_setting_matches_closed_form(self):
         cfg = PolarizerConfig(plate_count=1, refractive_index=1.5, alpha=math.pi / 8,
@@ -163,8 +205,8 @@ class TestPrepare:
         w, c = closed_form_cw(math.pi / 8, 0.3)
         assert w == pytest.approx(0.7951684270090633, abs=1e-12)
         assert c == pytest.approx(0.7313779906865137, abs=1e-12)
-        assert prep.decomposition.w_a_plus == pytest.approx(w, abs=1e-10)
-        assert prep.decomposition.c == pytest.approx(c, abs=1e-10)
+        assert prep.w_a_plus == pytest.approx(w, abs=1e-10)
+        assert prep.c == pytest.approx(c, abs=1e-10)
 
     def test_yield_is_rotation_invariant(self):
         t = plate_transmittance(1.5) ** 8
@@ -172,23 +214,50 @@ class TestPrepare:
         for alpha in np.linspace(0, math.pi / 2, 101):
             cfg = PolarizerConfig.from_plates(8, float(alpha))
             assert prepare(cfg).success_probability == pytest.approx(expected, abs=1e-10)
+            assert reference_state(cfg)[3] == pytest.approx(expected, abs=1e-10)
 
     def test_state_consistent_with_decomposition(self):
         rng = np.random.default_rng(22)
         for _ in range(50):
             cfg = PolarizerConfig.from_plates(7, rng.uniform(0.01, math.pi / 4))
             prep = prepare(cfg)
-            d = prep.decomposition
-            rebuilt = (math.sqrt(d.w_a_plus) * np.kron([1, 0], d.m_plus)
-                       + d.sign * math.sqrt(1 - d.w_a_plus) * np.kron([0, 1], d.m_minus))
-            np.testing.assert_allclose(rebuilt, prep.state, atol=1e-10)
+            w, sign, c, _, p = reference_state(cfg)
+            assert (prep.w_a_plus, prep.c) == pytest.approx((w, c), abs=1e-14)
+            assert prep.y == pytest.approx(sign * 2 * math.sqrt(w * (1 - w)), abs=1e-12)
+            assert prep.x == pytest.approx(2 * w - 1, abs=1e-14)
+            np.testing.assert_allclose(
+                protocol.joint_distribution(prep.x, prep.y, prep.c), p, rtol=0, atol=1e-14)
+
+    @settings(max_examples=400, deadline=None)
+    @given(alpha=st.floats(-math.pi, math.pi), t_s=st.floats(0, 1))
+    def test_matches_the_amplitude_route(self, alpha, t_s):
+        cfg = PolarizerConfig(plate_count=1, refractive_index=1.5, alpha=alpha,
+                              t_p=1.0, t_s=t_s)
+        prep = prepare(cfg)
+        w, sign, c, p_ok, p = reference_state(cfg)
+        assert prep.success_probability == pytest.approx(p_ok, rel=4 * sys.float_info.epsilon)
+        assert prep.w_a_plus == pytest.approx(w, abs=1e-15)
+        assert prep.x == pytest.approx(2 * w - 1, abs=1e-15)
+        assert 0.0 <= prep.c <= 1.0
+        if prep.delta_a < 1e-8:
+            # the reference reads a conditional below norm 1e-9 as an A
+            # eigenstate (c = 1) whatever its overlap; both agree at delta_a = 0
+            assert prep.delta_a > 0 or (prep.c == c == 1.0)
+            return
+        assert prep.c == pytest.approx(c, abs=1e-12)
+        assert prep.delta_a ** 2 + prep.x ** 2 == pytest.approx(1.0, abs=1e-15)
+        if c > 1e-9:
+            assert math.copysign(1, prep.y) == sign
+        if p is not None:
+            np.testing.assert_allclose(
+                protocol.joint_distribution(prep.x, prep.y, prep.c), p, rtol=0, atol=1e-9)
 
     def test_continuity_in_alpha(self):
         # 1e-4-spaced rotation grid: no branch jumps in (c, w)
         alphas = np.arange(1e-4, math.pi / 4, 1e-4)
         t = plate_transmittance(1.5) ** 7
         cws = np.array([
-            (prep.decomposition.c, prep.decomposition.w_a_plus)
+            (prep.c, prep.w_a_plus)
             for prep in (prepare(PolarizerConfig(plate_count=7, refractive_index=1.5,
                                                  alpha=float(a), t_p=1.0, t_s=t))
                          for a in alphas)])
@@ -209,13 +278,12 @@ class TestCalibrateAlpha:
             assert len(roots) == 2
             assert roots == sorted(roots)
             for alpha in roots:
-                cfg = PolarizerConfig.from_plates(plates, alpha)
-                d = prepare(cfg).decomposition
-                delta_a, delta_b = protocol.sharp_deltas(d.w_a_plus)
+                st = prepare(PolarizerConfig.from_plates(plates, alpha))
+                delta_a, delta_b = st.delta_a, st.delta_b
                 _, c_opt = protocol.min_product(delta_a, delta_b)
-                assert abs(d.c - c_opt) < 1e-8
+                assert abs(st.c - c_opt) < 1e-8
                 # at the root the achieved product touches its floor
-                product = protocol.unsharp_product(delta_a, delta_b, d.c)
+                product = protocol.unsharp_product(delta_a, delta_b, st.c)
                 assert product == pytest.approx(1 + delta_a * delta_b, abs=1e-8)
 
     def test_seven_plates_infeasible_at_default_index(self):
@@ -284,15 +352,8 @@ class TestCalibrateAlpha:
         roots = calibrate_alpha(plates, index)
         assert len(roots) == 2
         assert 0.0 < roots[0] < roots[1] < math.pi / 4
-        t = plate_transmittance(index) ** plates
-        k = (1 - t * t) / (1 + t * t)
         for alpha in roots:
-            # prepare hands back w to a few ulps, and delta_a = 2 sqrt(w(1-w))
-            # then carries a relative error of about eps/delta_a^2, so c_opt
-            # (about sqrt(delta_a) here) is only good to eps * delta_a^-1.5
-            delta_a = math.sqrt(4 * t * t / (1 + t * t) ** 2 + (k * math.sin(2 * alpha)) ** 2)
-            floor = 8 * sys.float_info.epsilon * delta_a ** -1.5
-            assert abs(optimality_residual(plates, alpha, index)) < 1e-8 + floor
+            assert abs(optimality_residual(plates, alpha, index)) < 1e-12
 
 
 class TestSampling:
@@ -326,10 +387,7 @@ class TestSampling:
         assert counts.n_pp + counts.n_pm + counts.n_mp + counts.n_mm == 999
 
     def test_chi_square_goodness_of_fit(self):
-        s = protocol.make_equatorial(0.75, +1)
-        state = protocol.entangle(s, 0.6)
-        basis = protocol.probe_basis(protocol.decompose(state))
-        p = protocol.joint_probabilities(state, protocol.observable_pair(), basis).ravel()
+        p = protocol.joint_distribution(*bloch(0.75), 0.6).ravel()
         noise = NoiseModel(0.9)
         expected = noise.apply(p) * 20000
         for seed in range(100):
@@ -355,9 +413,7 @@ class TestEstimateReport:
         # feeding exact probabilities must reproduce the analytic product
         w, c = 0.75, 0.6
         s = protocol.make_equatorial(w, +1)
-        state = protocol.entangle(s, c)
-        basis = protocol.probe_basis(protocol.decompose(state))
-        p = protocol.joint_probabilities(state, protocol.observable_pair(), basis).ravel()
+        p = protocol.joint_distribution(*bloch(w), c).ravel()
         report = report_from_probabilities(p, shots=10 ** 6, c_measured=c)
         analytic = protocol.unsharp_uncertainties(s, c)
         assert report.product_simultaneous == pytest.approx(
@@ -368,17 +424,14 @@ class TestEstimateReport:
 
     def test_monte_carlo_convergence(self):
         w, c = 0.8, 0.55
-        counts, report = run_state_setting(w, c, shots=10 ** 7, seed=33)
+        counts, report = run_setting(*bloch(w), c, shots=10 ** 7, seed=33)
         delta_a, delta_b = protocol.sharp_deltas(w)
         analytic = protocol.unsharp_product(delta_a, delta_b, c)
         assert abs(report.product_simultaneous - analytic) / analytic < 0.01
 
     def test_noise_inflates_product(self):
         w, c = 0.75, 0.6
-        s = protocol.make_equatorial(w, +1)
-        state = protocol.entangle(s, c)
-        basis = protocol.probe_basis(protocol.decompose(state))
-        p = protocol.joint_probabilities(state, protocol.observable_pair(), basis).ravel()
+        p = protocol.joint_distribution(*bloch(w), c).ravel()
         clean = report_from_probabilities(p, shots=10 ** 6, c_measured=c)
         noisy = report_from_probabilities(NoiseModel(0.95).apply(p), shots=10 ** 6,
                                           c_measured=c)
@@ -400,28 +453,38 @@ class TestEstimateReport:
 class TestRunSetting:
     def test_calibrated_setting_hits_the_floor(self):
         alpha = calibrate_alpha(10)[0]
-        cfg = PolarizerConfig.from_plates(10, alpha)
-        result = run_setting(cfg, shots=10 ** 6, seed=77)
-        d = result.prepared.decomposition
-        delta_a, delta_b = protocol.sharp_deltas(d.w_a_plus)
-        target = 1 + delta_a * delta_b
-        z = abs(result.report.product_simultaneous - target) / result.report.product_stderr
+        st = prepare(PolarizerConfig.from_plates(10, alpha))
+        _, report = run_setting(st.x, st.y, st.c, shots=10 ** 6, seed=77)
+        target = 1 + st.delta_a * st.delta_b
+        z = abs(report.product_simultaneous - target) / report.product_stderr
         assert z < 3.0
-        assert result.report.c_used == pytest.approx(d.c)
+        assert report.c_used == st.c
 
     def test_aligned_setting_is_singular(self):
-        cfg = PolarizerConfig.from_plates(8, 0.0)
+        st = prepare(PolarizerConfig.from_plates(8, 0.0))
         with pytest.raises(RescalingSingularError):
-            run_setting(cfg, shots=100, seed=1)
+            run_setting(st.x, st.y, st.c, shots=100, seed=1)
 
     def test_determinism(self):
         alpha = calibrate_alpha(10)[1]
-        cfg = PolarizerConfig.from_plates(10, alpha)
-        a = run_setting(cfg, shots=10 ** 5, seed=4242)
-        b = run_setting(cfg, shots=10 ** 5, seed=4242)
-        assert a.counts == b.counts
-        assert a.report == b.report
+        st = prepare(PolarizerConfig.from_plates(10, alpha))
+        a = run_setting(st.x, st.y, st.c, shots=10 ** 5, seed=4242)
+        b = run_setting(st.x, st.y, st.c, shots=10 ** 5, seed=4242)
+        assert a == b
 
     def test_explicit_state_rejects_singular_overlap(self):
         with pytest.raises(RescalingSingularError):
-            run_state_setting(0.7, 0.0, shots=100, seed=0)
+            run_setting(*bloch(0.7), 0.0, shots=100, seed=0)
+
+    @pytest.mark.parametrize("c", [1.0, math.nan, 1e-300])
+    def test_rejects_unrescalable_overlap(self, c):
+        with pytest.raises(RescalingSingularError):
+            run_setting(*bloch(0.7), c, shots=100, seed=0)
+
+    def test_object_eigenstate(self):
+        # |A+> is measurable: the probe's M+ rate is (1 + sqrt(1 - c^2))/2
+        shots, c = 10 ** 5, 0.5
+        counts, _ = run_setting(*bloch(1.0), c, shots=shots, seed=3)
+        rate = (1 + math.sqrt(1 - c * c)) / 2
+        assert abs((counts.n_pp + counts.n_mp) / shots - rate) < 5 * math.sqrt(
+            rate * (1 - rate) / shots)

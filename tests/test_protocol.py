@@ -1,29 +1,42 @@
 import math
+import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from simulmeas import protocol, qmath
-from simulmeas.errors import DegenerateBasisError, RescalingSingularError, UsageError
+from simulmeas.errors import RescalingSingularError, UsageError
+from simulmeas.experiment import report_from_probabilities
 from simulmeas.protocol import (
-    decompose,
-    entangle,
-    inferred_means,
-    joint_probabilities,
+    joint_distribution,
     make_equatorial,
     max_product,
     min_product,
     numeric_c_scan,
-    observable_pair,
-    probe_basis,
-    rescaled_eigenvalues,
+    probe_noise,
+    sharp_deltas,
     sharp_probabilities,
-    sharp_uncertainties,
     unsharp_uncertainties,
     von_neumann_counterexample,
 )
 
 SYMMETRIC_W = (2 + math.sqrt(2)) / 4  # maximizer of the sharp product
+EPS = sys.float_info.epsilon
+
+
+def bloch(w, sign):
+    """(x, y) of the equatorial state sqrt(w)|A+> + sign sqrt(1-w)|A->."""
+    return 2 * w - 1, sign * 2 * math.sqrt(w * (1 - w))
+
+
+def inferred_means(p, c):
+    """Means of the rescaled +-1/sqrt(1-c^2) probe and +-1/c object outcomes."""
+    p = np.asarray(p)
+    probe = (p[:, 0].sum(axis=0) - p[:, 1].sum(axis=0)) / np.sqrt(1 - c * c)
+    obj = (p[0, :].sum(axis=0) - p[1, :].sum(axis=0)) / c
+    return probe, obj
 
 
 class TestMakeEquatorial:
@@ -65,19 +78,18 @@ class TestSharpQuantities:
 
     def test_b_probability_matches_projection(self):
         # oracle: project the amplitude vector onto the B basis directly
-        pair = observable_pair()
         rng = np.random.default_rng(11)
         for _ in range(200):
             s = make_equatorial(rng.uniform(), rng.choice([1, -1]))
-            expected = tuple(abs(qmath.inner(b, s.amplitudes)) ** 2 for b in pair.b_basis)
+            expected = tuple(abs(qmath.inner(b, s.amplitudes)) ** 2 for b in qmath.B_BASIS)
             assert sharp_probabilities(s, "B") == pytest.approx(expected, abs=1e-12)
 
     def test_uncertainty_extremes(self):
-        assert sharp_uncertainties(make_equatorial(1.0)) == pytest.approx((0, 1))
-        assert sharp_uncertainties(make_equatorial(0.5)) == pytest.approx((1, 0))
+        assert sharp_deltas(1.0) == pytest.approx((0, 1))
+        assert sharp_deltas(0.5) == pytest.approx((1, 0))
 
     def test_sharp_product_maximum(self):
-        da, db = sharp_uncertainties(make_equatorial(SYMMETRIC_W))
+        da, db = sharp_deltas(SYMMETRIC_W)
         assert (da, db) == pytest.approx((1 / math.sqrt(2), 1 / math.sqrt(2)), abs=1e-12)
         assert da * db == pytest.approx(0.5, abs=1e-12)
 
@@ -91,48 +103,44 @@ class TestSharpQuantities:
 
 
 class TestEntangleDecompose:
+    # the amplitude-level reference in qmath: entangle, then read back
     def test_perfect_entanglement_at_c_zero(self):
-        state = entangle(make_equatorial(0.5, +1), 0.0)
-        d = decompose(state)
-        assert d.c == pytest.approx(0.0, abs=1e-12)
-        assert abs(qmath.inner(d.m_plus, d.m_minus)) < 1e-12
+        _, _, c, m_plus, m_minus = qmath.decompose(qmath.entangle(0.5, +1, 0.0))
+        assert c == pytest.approx(0.0, abs=1e-12)
+        assert abs(qmath.inner(m_plus, m_minus)) < 1e-12
 
     def test_no_entanglement_at_c_one(self):
         s = make_equatorial(0.7, -1)
-        state = entangle(s, 1.0)
-        d = decompose(state)
-        assert d.c == pytest.approx(1.0, abs=1e-12)
+        state = qmath.entangle(0.7, -1, 1.0)
+        _, _, c, m_plus, _ = qmath.decompose(state)
+        assert c == pytest.approx(1.0, abs=1e-12)
         # product state: object factor recovered
-        np.testing.assert_allclose(qmath.tensor(s.amplitudes, d.m_plus), state, atol=1e-12)
+        np.testing.assert_allclose(np.kron(s.amplitudes, m_plus), state, atol=1e-12)
 
     def test_singlet_decomposition(self):
-        singlet = np.array([0, 1, -1, 0], dtype=complex) / np.sqrt(2)
-        d = decompose(singlet)
-        assert d.w_a_plus == pytest.approx(0.5, abs=1e-12)
-        assert d.c == pytest.approx(0.0, abs=1e-12)
-        assert d.sign == -1
-        assert not d.degenerate
+        w, sign, c, _, _ = qmath.decompose(qmath.singlet())
+        assert w == pytest.approx(0.5, abs=1e-12)
+        assert c == pytest.approx(0.0, abs=1e-12)
+        assert sign == -1
 
     def test_product_state_decomposition(self):
-        m = np.array([math.cos(0.3), math.sin(0.3)], dtype=complex)
+        m = np.array([math.cos(0.3), math.sin(0.3)])
         s = make_equatorial(0.6, +1)
-        d = decompose(qmath.tensor(s.amplitudes, m))
-        assert d.w_a_plus == pytest.approx(0.6, abs=1e-12)
-        assert d.c == pytest.approx(1.0, abs=1e-12)
+        w, _, c, _, _ = qmath.decompose(np.kron(s.amplitudes, m))
+        assert w == pytest.approx(0.6, abs=1e-12)
+        assert c == pytest.approx(1.0, abs=1e-12)
 
     def test_degenerate_object_eigenstate(self):
-        state = qmath.tensor([1, 0], np.array([1, 1]) / np.sqrt(2))
-        d = decompose(state)
-        assert d.degenerate
-        assert d.c == 1.0
-        assert d.w_a_plus == pytest.approx(1.0, abs=1e-12)
+        w, _, c, _, _ = qmath.decompose(np.kron([1, 0], np.array([1, 1]) / np.sqrt(2)))
+        assert c == 1.0
+        assert w == pytest.approx(1.0, abs=1e-12)
 
     @pytest.mark.parametrize("w,sign,c", [(0.75, +1, 0.6), (0.6, +1, 0.3), (0.31, -1, 0.82)])
     def test_round_trip_examples(self, w, sign, c):
-        d = decompose(entangle(make_equatorial(w, sign), c))
-        assert d.w_a_plus == pytest.approx(w, abs=1e-10)
-        assert d.c == pytest.approx(c, abs=1e-10)
-        assert d.sign == sign
+        w_back, sign_back, c_back, _, _ = qmath.decompose(qmath.entangle(w, sign, c))
+        assert w_back == pytest.approx(w, abs=1e-10)
+        assert c_back == pytest.approx(c, abs=1e-10)
+        assert sign_back == sign
 
     def test_round_trip_random(self):
         rng = np.random.default_rng(12)
@@ -140,145 +148,160 @@ class TestEntangleDecompose:
             w = rng.uniform(1e-3, 1 - 1e-3)
             c = rng.uniform(0, 1)
             sign = int(rng.choice([1, -1]))
-            s = make_equatorial(w, sign)
-            state = entangle(s, c)
+            state = qmath.entangle(w, sign, c)
             assert abs(qmath.norm(state) - 1) < 1e-12
-            d = decompose(state)
-            assert d.w_a_plus == pytest.approx(w, abs=1e-10)
-            assert d.c == pytest.approx(c, abs=1e-10)
+            w_back, _, c_back, _, _ = qmath.decompose(state)
+            assert w_back == pytest.approx(w, abs=1e-10)
+            assert c_back == pytest.approx(c, abs=1e-10)
 
     def test_reassembly_reproduces_source(self):
+        # the optics only prepare real states, and the reference reads those
         rng = np.random.default_rng(13)
         for _ in range(300):
-            v = rng.normal(size=4) + 1j * rng.normal(size=4)
+            v = rng.normal(size=4)
             state = v / np.linalg.norm(v)
-            d = decompose(state)
-            if d.degenerate:
-                continue
-            rebuilt = (math.sqrt(d.w_a_plus) * np.kron([1, 0], d.m_plus)
-                       + d.sign * math.sqrt(1 - d.w_a_plus) * np.kron([0, 1], d.m_minus))
+            w, sign, c, m_plus, m_minus = qmath.decompose(state)
+            rebuilt = (math.sqrt(w) * np.kron([1, 0], m_plus)
+                       + sign * math.sqrt(1 - w) * np.kron([0, 1], m_minus))
             np.testing.assert_allclose(rebuilt, state, atol=1e-10)
-            assert d.c == pytest.approx(abs(qmath.inner(d.m_plus, d.m_minus)), abs=1e-12)
+            assert c == pytest.approx(abs(qmath.inner(m_plus, m_minus)), abs=1e-12)
+
+
+def _reference_basis(w, c, sign=+1):
+    _, _, c_back, m_plus, m_minus = qmath.decompose(qmath.entangle(w, sign, c))
+    big_plus, big_minus = qmath.probe_basis(m_plus, m_minus)
+    cos_gamma = qmath.inner(big_plus, m_plus).real
+    return c_back, m_plus, m_minus, big_plus, big_minus, math.acos(min(cos_gamma, 1.0))
 
 
 class TestProbeBasis:
     def test_orthogonal_conditionals_need_no_rotation(self):
-        d = decompose(entangle(make_equatorial(0.5, +1), 0.0))
-        basis = probe_basis(d)
+        _, m_plus, _, big_plus, _, gamma = _reference_basis(0.5, 0.0)
         # arccos is ill-conditioned at 1; cos(gamma) itself is 1e-12-exact
-        assert basis.gamma == pytest.approx(0.0, abs=1e-7)
-        np.testing.assert_allclose(basis.m_big_plus, d.m_plus, atol=1e-7)
+        assert gamma == pytest.approx(0.0, abs=1e-7)
+        np.testing.assert_allclose(big_plus, m_plus, atol=1e-7)
 
     def test_known_angle(self):
-        d = decompose(entangle(make_equatorial(0.75, +1), 0.6))
-        basis = probe_basis(d)
-        assert math.cos(basis.gamma) ** 2 == pytest.approx(0.9, abs=1e-12)
-        assert basis.gamma == pytest.approx(0.3217505543966423, abs=1e-10)
+        gamma = _reference_basis(0.75, 0.6)[-1]
+        assert math.cos(gamma) ** 2 == pytest.approx(0.9, abs=1e-12)
+        assert gamma == pytest.approx(0.3217505543966423, abs=1e-10)
 
     def test_near_degenerate_limit(self):
-        d = decompose(entangle(make_equatorial(0.75, +1), 1 - 1e-6))
-        assert probe_basis(d).gamma == pytest.approx(math.pi / 4, abs=1e-2)
+        assert _reference_basis(0.75, 1 - 1e-6)[-1] == pytest.approx(math.pi / 4, abs=1e-2)
 
     def test_degenerate_raises(self):
-        d = decompose(entangle(make_equatorial(0.75, +1), 1.0))
-        with pytest.raises(DegenerateBasisError):
-            probe_basis(d)
+        _, _, _, m_plus, m_minus = qmath.decompose(qmath.entangle(0.75, +1, 1.0))
+        with pytest.raises(UsageError):
+            qmath.probe_basis(m_plus, m_minus)
 
     def test_orthonormal_equal_angles_and_sign(self):
         rng = np.random.default_rng(14)
         for _ in range(200):
-            c = rng.uniform(0, 0.999)
-            d = decompose(entangle(make_equatorial(rng.uniform(0.01, 0.99)), c))
-            basis = probe_basis(d)
-            assert abs(qmath.norm(basis.m_big_plus) - 1) < 1e-12
-            assert abs(qmath.norm(basis.m_big_minus) - 1) < 1e-12
-            assert abs(qmath.inner(basis.m_big_plus, basis.m_big_minus)) < 1e-12
-            ov_plus = qmath.inner(basis.m_big_plus, d.m_plus)
-            ov_minus = qmath.inner(basis.m_big_minus, d.m_minus)
+            c, m_plus, m_minus, big_plus, big_minus, gamma = _reference_basis(
+                rng.uniform(0.01, 0.99), rng.uniform(0, 0.999))
+            assert abs(qmath.norm(big_plus) - 1) < 1e-12
+            assert abs(qmath.norm(big_minus) - 1) < 1e-12
+            assert abs(qmath.inner(big_plus, big_minus)) < 1e-12
+            ov_plus = qmath.inner(big_plus, m_plus)
+            ov_minus = qmath.inner(big_minus, m_minus)
             assert ov_plus.real > 0 and abs(ov_plus.imag) < 1e-12
             assert abs(abs(ov_plus) - abs(ov_minus)) < 1e-12
-            assert abs(abs(ov_plus) - math.cos(basis.gamma)) < 1e-12
-            expected = (1 + math.sqrt(1 - d.c ** 2)) / 2
-            assert math.cos(basis.gamma) ** 2 == pytest.approx(expected, abs=1e-10)
+            assert abs(abs(ov_plus) - math.cos(gamma)) < 1e-12
+            expected = (1 + math.sqrt(1 - c ** 2)) / 2
+            assert math.cos(gamma) ** 2 == pytest.approx(expected, abs=1e-10)
 
 
 class TestRescaledEigenvalues:
+    # outcomes rescaled to +-1/sqrt(1-c^2) and +-1/c have second moments
+    # 1 + probe_noise(c): the eigenvalue rescaling in variance form
     def test_symmetric_point(self):
-        pair = observable_pair()
-        a, b = rescaled_eigenvalues(pair, 1 / math.sqrt(2))
-        assert (a, b) == pytest.approx((math.sqrt(2), math.sqrt(2)), abs=1e-12)
+        noise = probe_noise(1 / math.sqrt(2))
+        assert noise == pytest.approx((1.0, 1.0), abs=1e-12)
+        assert np.sqrt(np.add(1, noise)) == pytest.approx((math.sqrt(2), math.sqrt(2)))
 
     def test_example(self):
-        a, b = rescaled_eigenvalues(observable_pair(), 0.6)
-        assert (a, b) == pytest.approx((1.25, 5 / 3), abs=1e-12)
+        noise_a, noise_b = probe_noise(0.6)
+        assert (1 + noise_a, 1 + noise_b) == pytest.approx((1.25 ** 2, (5 / 3) ** 2), abs=1e-12)
 
     def test_sharp_a_limit(self):
-        a, _ = rescaled_eigenvalues(observable_pair(), 1e-8)
-        assert a == pytest.approx(1.0, abs=1e-12)
+        noise_a, _ = probe_noise(1e-8)
+        assert noise_a == pytest.approx(0.0, abs=1e-12)
 
     @pytest.mark.parametrize("c", [0.0, 1.0, -0.2, 1.3])
     def test_singular(self, c):
         with pytest.raises(RescalingSingularError):
-            rescaled_eigenvalues(observable_pair(), c)
+            probe_noise(c)
 
+    @pytest.mark.parametrize("c", [1e-300, 1e-155, math.nan, math.inf])
+    def test_unrepresentable_noise_is_singular(self, c):
+        with pytest.raises(RescalingSingularError):
+            probe_noise(c)
+        with pytest.raises(RescalingSingularError):
+            protocol.unsharp_deltas(0.5, 0.5, c)
 
-def _chain(w, sign, c):
-    state = entangle(make_equatorial(w, sign), c)
-    d = decompose(state)
-    basis = probe_basis(d)
-    pair = observable_pair()
-    return state, d, basis, pair, joint_probabilities(state, pair, basis)
+    def test_arrays(self):
+        c = np.array([0.2, 0.6, 0.9])
+        noise_a, noise_b = probe_noise(c)
+        np.testing.assert_allclose(noise_a * noise_b, 1.0, rtol=1e-15)
+        with pytest.raises(RescalingSingularError):
+            probe_noise(np.array([0.5, 1.0]))
 
 
 class TestJointProbabilities:
     def test_singlet_is_uniform(self):
-        singlet = np.array([0, 1, -1, 0], dtype=complex) / np.sqrt(2)
-        d = decompose(singlet)
-        p = joint_probabilities(singlet, observable_pair(), probe_basis(d))
-        np.testing.assert_allclose(p, 0.25, atol=1e-12)
+        # the singlet has w = 1/2 and c = 0 (perfect entanglement)
+        np.testing.assert_allclose(joint_distribution(0.0, -1.0, 0.0), 0.25, atol=1e-15)
+        w, sign, c, m_plus, m_minus = qmath.decompose(qmath.singlet())
+        p = qmath.joint_probabilities(qmath.singlet(), qmath.probe_basis(m_plus, m_minus))
+        np.testing.assert_allclose(p, joint_distribution(*bloch(w, sign), c), atol=1e-12)
 
     def test_product_state_b_eigenstate(self):
-        m = np.array([math.cos(0.4), math.sin(0.4)], dtype=complex)
-        state = qmath.tensor(np.array([1, 1]) / np.sqrt(2), m)
-        # build a basis from a non-degenerate helper decomposition, measure the product state
-        _, _, basis, pair, _ = _chain(0.7, +1, 0.5)
-        p = joint_probabilities(state, pair, basis)
-        np.testing.assert_allclose(p[1, :], 0.0, atol=1e-12)
+        # a B+ eigenstate unentangled from the probe never gives B-
+        p = joint_distribution(0.0, 1.0, 1.0)
+        np.testing.assert_array_equal(p[1, :], 0.0)
+        assert p.sum() == 1.0
 
     def test_closure_and_marginals(self):
         rng = np.random.default_rng(15)
         for _ in range(200):
             w, c = rng.uniform(0.01, 0.99), rng.uniform(0.01, 0.99)
             sign = int(rng.choice([1, -1]))
-            _, d, basis, _, p = _chain(w, sign, c)
+            p = joint_distribution(*bloch(w, sign), c)
             assert np.all(p >= -1e-15) and np.all(p <= 1 + 1e-15)
             assert p.sum() == pytest.approx(1.0, abs=1e-12)
             # object-B marginal: 1/2 +- c sqrt(w(1-w))
             expected_b = 0.5 + sign * c * math.sqrt(w * (1 - w))
             assert p[0, :].sum() == pytest.approx(expected_b, abs=1e-10)
             # probe marginal: w cos^2 gamma + (1-w) sin^2 gamma
-            cg, sg = math.cos(basis.gamma) ** 2, math.sin(basis.gamma) ** 2
-            assert p[:, 0].sum() == pytest.approx(w * cg + (1 - w) * sg, abs=1e-10)
+            cg = (1 + math.sqrt(1 - c * c)) / 2
+            assert p[:, 0].sum() == pytest.approx(w * cg + (1 - w) * (1 - cg), abs=1e-10)
+            np.testing.assert_allclose(p, qmath.equatorial_joint(w, sign, c), atol=1e-14)
 
     def test_known_marginal_value(self):
-        _, _, _, _, p = _chain(0.75, +1, 0.6)
+        p = joint_distribution(*bloch(0.75, +1), 0.6)
         assert p[0, :].sum() == pytest.approx(0.7598076211353315, abs=1e-10)
+
+    def test_arrays(self):
+        rng = np.random.default_rng(19)
+        x, y, c = rng.uniform(-1, 1, 50), rng.uniform(-1, 1, 50), rng.uniform(0, 1, 50)
+        p = joint_distribution(x, y, c)
+        assert p.shape == (2, 2, 50)
+        for k in range(50):
+            np.testing.assert_array_equal(p[..., k], joint_distribution(x[k], y[k], c[k]))
 
 
 class TestInferredMeans:
     def test_uniform_distribution_is_centered(self):
-        assert inferred_means(np.full((2, 2), 0.25), (3.7, 11.0)) == pytest.approx((0, 0))
+        means = inferred_means(joint_distribution(0.0, 0.0, 0.3), 0.3)
+        assert means == pytest.approx((0, 0), abs=1e-15)
 
     def test_b_eigenstate_mean(self):
-        _, _, basis, pair, p = _chain(0.5, +1, 1 / math.sqrt(2))
-        scaled = rescaled_eigenvalues(pair, 1 / math.sqrt(2))
-        _, mean_b = inferred_means(p, scaled)
+        c = 1 / math.sqrt(2)
+        _, mean_b = inferred_means(joint_distribution(*bloch(0.5, +1), c), c)
         assert mean_b == pytest.approx(1.0, abs=1e-10)
 
     def test_unbiased_mean_a(self):
-        _, _, basis, pair, p = _chain(0.75, +1, 0.6)
-        scaled = rescaled_eigenvalues(pair, 0.6)
-        mean_a, _ = inferred_means(p, scaled)
+        mean_a, _ = inferred_means(joint_distribution(*bloch(0.75, +1), 0.6), 0.6)
         assert mean_a == pytest.approx(0.5, abs=1e-10)
 
     def test_unbiasedness_random(self):
@@ -286,14 +309,13 @@ class TestInferredMeans:
         for _ in range(200):
             w, c = rng.uniform(0.005, 0.995), rng.uniform(0.005, 0.995)
             sign = int(rng.choice([1, -1]))
-            _, _, _, pair, p = _chain(w, sign, c)
-            mean_a, mean_b = inferred_means(p, rescaled_eigenvalues(pair, c))
+            mean_a, mean_b = inferred_means(qmath.equatorial_joint(w, sign, c), c)
             assert mean_a == pytest.approx(2 * w - 1, abs=1e-10)
             assert mean_b == pytest.approx(sign * 2 * math.sqrt(w * (1 - w)), abs=1e-10)
 
     def test_rejects_non_distribution(self):
         with pytest.raises(UsageError):
-            inferred_means([0.5, 0.5, 0.5, 0.5], (1.0, 1.0))
+            report_from_probabilities([0.5, 0.5, 0.5, 0.5], shots=10, c_measured=0.5)
 
 
 class TestUnsharpUncertainties:
@@ -311,28 +333,63 @@ class TestUnsharpUncertainties:
     def test_sharp_a_limit(self):
         s = make_equatorial(0.62, -1)
         report = unsharp_uncertainties(s, 1e-6)
-        assert report.delta_a_prime == pytest.approx(sharp_uncertainties(s)[0], abs=1e-9)
+        assert report.delta_a_prime == pytest.approx(sharp_deltas(0.62)[0], abs=1e-9)
 
     def test_closed_form_equals_direct_route(self):
+        # standard deviations of the rescaled two-point distributions of the
+        # amplitude-level joint distribution
         rng = np.random.default_rng(17)
         for _ in range(150):
-            s = make_equatorial(rng.uniform(0.01, 0.99), int(rng.choice([1, -1])))
+            w, sign = rng.uniform(0.01, 0.99), int(rng.choice([1, -1]))
             c = rng.uniform(0.01, 0.99)
-            analytic = protocol.unsharp_deltas(*sharp_uncertainties(s), c)
-            direct = protocol.direct_unsharp_deltas(s, c)
+            mean_a, mean_b = inferred_means(qmath.equatorial_joint(w, sign, c), c)
+            direct = (math.sqrt(1 / (1 - c * c) - mean_a ** 2), math.sqrt(1 / c ** 2 - mean_b ** 2))
+            analytic = protocol.unsharp_deltas(*sharp_deltas(w), c)
             assert analytic == pytest.approx(direct, abs=1e-10)
 
     def test_product_never_below_bound(self):
-        s = make_equatorial(0.73, +1)
-        da, db = sharp_uncertainties(s)
+        da, db = sharp_deltas(0.73)
         bound = 1 + da * db
-        for c in np.linspace(1e-4, 1 - 1e-4, 1000):
-            assert protocol.unsharp_product(da, db, c) >= bound - 1e-9
+        products = protocol.unsharp_product(da, db, np.linspace(1e-4, 1 - 1e-4, 1000))
+        assert np.all(products >= bound - 1e-9)
 
     @pytest.mark.parametrize("c", [0.0, 1.0])
     def test_singular_overlap(self, c):
         with pytest.raises(RescalingSingularError):
             unsharp_uncertainties(make_equatorial(0.7), c)
+
+
+class TestClosedFormProperties:
+    # the closed forms against the amplitude-level reference over the whole
+    # domain, the edges w in {0, 1} and c -> 0 or 1 included
+    @settings(max_examples=400, deadline=None)
+    @given(w=st.floats(0, 1), sign=st.sampled_from([1, -1]),
+           c=st.floats(0, 1, exclude_max=True))
+    def test_joint_distribution_matches_reference(self, w, sign, c):
+        x, y = bloch(w, sign)
+        p = joint_distribution(x, y, c)
+        assert abs(p.sum() - 1) <= 4 * EPS
+        assert p.min() >= -2 * EPS
+        np.testing.assert_allclose(p, qmath.equatorial_joint(w, sign, c), rtol=0, atol=1e-14)
+        # the rescaled means equal x and y: the marginal differences, which
+        # rescaling divides by sqrt(1-c^2) and c, are those times x and y to
+        # a few ulps
+        probe_diff = p[:, 0].sum() - p[:, 1].sum()
+        obj_diff = p[0, :].sum() - p[1, :].sum()
+        assert abs(probe_diff - math.sqrt(1 - c * c) * x) <= 4 * EPS
+        assert abs(obj_diff - c * y) <= 4 * EPS
+
+    @settings(max_examples=400, deadline=None)
+    @given(w=st.floats(0, 1), c=st.floats(1e-150, 1, exclude_max=True))
+    def test_product_above_its_floor(self, w, c):
+        da, db = sharp_deltas(w)
+        product = protocol.unsharp_product(da, db, c)
+        value, c_opt = min_product(da, db)
+        assert product >= value * (1 - 4 * EPS)
+        assert unsharp_uncertainties(make_equatorial(w), c).product_simultaneous == product
+        if 0 < c_opt < 1:
+            assert protocol.unsharp_product(da, db, c_opt) == pytest.approx(value, rel=1e-12)
+            assert max_product(c_opt) >= value
 
 
 class TestProductExtrema:
@@ -374,20 +431,16 @@ class TestNumericCScan:
     def test_matches_closed_form(self):
         for w in (SYMMETRIC_W, 0.75, 0.62):
             s = make_equatorial(w)
-            scan = numeric_c_scan(s, 1000)
-            value, c_opt = min_product(*sharp_uncertainties(s))
+            scan = numeric_c_scan(s)
+            value, c_opt = min_product(*sharp_deltas(w))
             assert not scan.boundary
             assert scan.product_best == pytest.approx(value, abs=1e-6)
             assert scan.c_best == pytest.approx(c_opt, abs=1e-4)
 
     def test_boundary_flag_at_b_eigenstate(self):
-        scan = numeric_c_scan(make_equatorial(0.5), 1000)
+        scan = numeric_c_scan(make_equatorial(0.5))
         assert scan.boundary
         assert scan.product_best == pytest.approx(1.0, abs=1e-3)
-
-    def test_rejects_tiny_grid(self):
-        with pytest.raises(UsageError):
-            numeric_c_scan(make_equatorial(0.7), 2)
 
 
 class TestVonNeumannCounterexample:
@@ -406,7 +459,6 @@ class TestVonNeumannCounterexample:
         # no projective direction distinguishes the pair, yet at least one
         # observable mean differs substantially
         rng = np.random.default_rng(18)
-        pair = observable_pair()
         for _ in range(200):
             v = rng.normal(size=3)
             axis = v / np.linalg.norm(v)

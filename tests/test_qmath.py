@@ -1,8 +1,10 @@
+import math
+
 import numpy as np
 import pytest
 
 from simulmeas import qmath
-from simulmeas.errors import UsageError
+from simulmeas.errors import EmptyEnsembleError, UsageError
 
 
 def random_state(rng, dim):
@@ -51,27 +53,6 @@ class TestInner:
             assert qmath.inner(a, b) == np.conj(qmath.inner(b, a))
 
 
-class TestTensor:
-    def test_basis_products(self):
-        np.testing.assert_array_equal(qmath.tensor([1, 0], [1, 0]), [1, 0, 0, 0])
-        np.testing.assert_array_equal(qmath.tensor([1, 0], [0, 1]), [0, 1, 0, 0])
-
-    def test_distributes_over_object(self):
-        s = np.array([1, 1]) / np.sqrt(2)
-        expected = np.array([1, 0, 1, 0]) / np.sqrt(2)
-        np.testing.assert_allclose(qmath.tensor(s, [1, 0]), expected, atol=1e-15)
-
-    def test_norm_multiplicative(self):
-        rng = np.random.default_rng(5)
-        for _ in range(200):
-            a, b = random_state(rng, 2), random_state(rng, 2)
-            assert qmath.norm(qmath.tensor(a, b)) == pytest.approx(1.0, abs=1e-12)
-
-    def test_rejects_unnormalized(self):
-        with pytest.raises(UsageError):
-            qmath.tensor([2, 0], [1, 0])
-
-
 class TestApplyToObject:
     def test_identity(self):
         rng = np.random.default_rng(6)
@@ -106,14 +87,6 @@ class TestApplyToObject:
             assert lhs == pytest.approx(qmath.inner(x, y), abs=1e-12)
 
 
-def test_predicates():
-    h = np.array([[1, 1], [1, -1]]) / np.sqrt(2)
-    assert qmath.is_unitary(h)
-    assert qmath.is_hermitian(h)
-    assert not qmath.is_unitary(np.diag([1, 0.5]))
-    assert qmath.is_hermitian(np.diag([1, 0.5]))
-
-
 def test_vector_validation():
     with pytest.raises(UsageError):
         qmath.vec([1, 0, 0])
@@ -121,3 +94,36 @@ def test_vector_validation():
         qmath.vec([np.nan, 0])
     with pytest.raises(UsageError):
         qmath.normalize([0, 0])
+    with pytest.raises(UsageError):
+        qmath.require_state([2, 0])
+
+
+class TestReferenceChain:
+    def test_b_basis_is_unbiased_to_a(self):
+        for b in qmath.B_BASIS:
+            for a in ([1, 0], [0, 1]):
+                assert abs(qmath.inner(a, b)) ** 2 == pytest.approx(0.5, abs=1e-15)
+
+    def test_conditional_pair_overlap(self):
+        for c in (0.0, 0.3, 1.0):
+            m_plus, m_minus = qmath.conditional_pair(c)
+            assert qmath.inner(m_plus, m_minus).real == pytest.approx(c, abs=1e-15)
+
+    def test_post_select_yield(self):
+        state, p_ok = qmath.post_select(0.4, 1.0, 0.3)
+        assert p_ok == pytest.approx((1 + 0.3 ** 2) / 2, abs=1e-15)
+        assert qmath.norm(state) == pytest.approx(1.0, abs=1e-15)
+        with pytest.raises(EmptyEnsembleError):
+            qmath.post_select(0.4, 0.0, 0.0)
+
+    def test_joint_probabilities_close(self):
+        rng = np.random.default_rng(9)
+        for _ in range(50):
+            w, c = rng.uniform(), rng.uniform(0, 0.99)
+            p = qmath.equatorial_joint(w, int(rng.choice([1, -1])), c)
+            assert p.sum() == pytest.approx(1.0, abs=1e-12)
+            assert np.all(p >= 0)
+
+    def test_decompose_rejects_complex_states(self):
+        with pytest.raises(UsageError):
+            qmath.decompose(np.array([1, 1j, 0, 0]) / math.sqrt(2))
