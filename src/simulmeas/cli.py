@@ -51,7 +51,8 @@ SWEEP_NOTE = ("products are symmetric about w_a_plus = 0.5; "
 # the multinomial sampler draws int64 counts
 MAX_SHOTS = 2 ** 63 - 1
 # largest sweep grid: ten times the largest sweep perfbench runs; rendering
-# JSON peaks at about 2.5 kB of memory a row (257 MB at 100 001 rows)
+# JSON peaks at about 0.75 kB of memory a row (a 100 001-row JSON sweep
+# peaks at 105 MB resident, 29 MB of it the interpreter and numpy)
 MAX_GRID = 10 ** 6
 
 _CONFIG_KEYS = {"seed": int, "shots": int, "visibility": float,
@@ -147,23 +148,33 @@ def _sweep_grid(grid: int, full_range: bool) -> np.ndarray:
     return lo + step * np.arange(grid)
 
 
-def _sweep_table(columns: dict):
-    return zip(*(columns[col].tolist() for col in SWEEP_COLUMNS))
+_CSV_HEAD = f"# {SWEEP_NOTE}\n{','.join(SWEEP_COLUMNS)}\n"
+_CSV_ROW = ",".join(["%.12g"] * len(SWEEP_COLUMNS)) + "\n"
+_JSON_DOC = '{\n  "note": ' + json.dumps(SWEEP_NOTE) + ',\n  "rows": [\n%s\n  ]\n}\n'
+# the layout json.dumps(indent=2) gives each row; %s renders a float as its
+# shortest repr, as json does
+_JSON_ROW = "    {\n%s\n    }" % ",\n".join(f'      "{col}": %s' for col in SWEEP_COLUMNS)
 
 
 def render_sweep_csv(columns: dict) -> str:
-    lines = [f"# {SWEEP_NOTE}", ",".join(SWEEP_COLUMNS)]
-    lines += [",".join(map(_fmt, row)) for row in _sweep_table(columns)]
-    return "\n".join(lines) + "\n"
+    """The sweep as CSV: a note, the header and one 12-digit row per w."""
+    cells = (columns[col].tolist() for col in SWEEP_COLUMNS)
+    # list() before join, so the cell values are freed before the text is built
+    return _CSV_HEAD + "".join(list(map(_CSV_ROW.__mod__, zip(*cells))))
+
+
+def _json_cells(column: np.ndarray) -> list:
+    """The column as Python floats, with "null" where a value is not finite."""
+    cells = column.tolist()
+    for k in np.flatnonzero(~np.isfinite(column)).tolist():
+        cells[k] = "null"
+    return cells
 
 
 def render_sweep_json(columns: dict) -> str:
-    doc = {
-        "note": SWEEP_NOTE,
-        "rows": [{col: _json_value(v) for col, v in zip(SWEEP_COLUMNS, row)}
-                 for row in _sweep_table(columns)],
-    }
-    return json.dumps(doc, indent=2) + "\n"
+    """The sweep as the bytes of ``json.dumps({"note", "rows"}, indent=2)``."""
+    cells = (_json_cells(columns[col]) for col in SWEEP_COLUMNS)
+    return _JSON_DOC % ",\n".join(list(map(_JSON_ROW.__mod__, zip(*cells))))
 
 
 def _write_text(path: str | None, text: str):
@@ -175,7 +186,6 @@ def _write_text(path: str | None, text: str):
 
 
 def _append_point(path: str | None, fmt: str, point: dict):
-    line_csv = ",".join(_fmt(point[col]) for col in MC_COLUMNS) + "\n"
     if path is None:
         return
     if fmt == "json":
@@ -186,7 +196,7 @@ def _append_point(path: str | None, fmt: str, point: dict):
     with open(path, "a", encoding="utf-8", newline="") as fh:
         if fresh:
             fh.write(",".join(MC_COLUMNS) + "\n")
-        fh.write(line_csv)
+        fh.write(",".join(_fmt(point[col]) for col in MC_COLUMNS) + "\n")
 
 
 # --------------------------------------------------------------------------

@@ -371,15 +371,17 @@ def report_from_probabilities(p_hat, shots: int, c_measured: float) -> protocol.
     delta_b = math.sqrt(max(db_prime ** 2 - noise_b, 0.0))
 
     # delta-method standard error of the product; the two marginals share
-    # the (B+,M+) cell, hence the covariance term
+    # the (B+,M+) cell, hence the covariance term. The gradient is taken
+    # relative to the product, which stays out of the squares: (product * v)^2
+    # overflows when c is tiny and the probe marginal nearly pure.
     if b_var > 0.0 and m_var > 0.0:
-        k2 = (product / (2.0 * b_var) * (1.0 - 2.0 * b_plus),
-              product / (2.0 * m_var) * (1.0 - 2.0 * m_plus))
+        u = (1.0 - 2.0 * b_plus) / (2.0 * b_var)
+        v = (1.0 - 2.0 * m_plus) / (2.0 * m_var)
         var_b = b_var / shots
         var_m = m_var / shots
         cov = (float(probs[0]) - b_plus * m_plus) / shots
-        variance = k2[0] ** 2 * var_b + k2[1] ** 2 * var_m + 2.0 * k2[0] * k2[1] * cov
-        stderr = math.sqrt(max(variance, 0.0))
+        variance = u * u * var_b + v * v * var_m + 2.0 * u * v * cov
+        stderr = product * math.sqrt(max(variance, 0.0))
     else:
         stderr = 0.0
 

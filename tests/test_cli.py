@@ -144,6 +144,43 @@ class TestSweepCommand:
         assert "i/o" in err
 
 
+def reference_csv(columns):
+    """The sweep CSV cell by cell: `cli._fmt` per value, joined with commas."""
+    rows = zip(*(columns[col].tolist() for col in cli.SWEEP_COLUMNS))
+    lines = [f"# {cli.SWEEP_NOTE}", ",".join(cli.SWEEP_COLUMNS)]
+    return "\n".join(lines + [",".join(map(cli._fmt, row)) for row in rows]) + "\n"
+
+
+def reference_json(columns):
+    """The sweep JSON through the json module, None where a value is not finite."""
+    rows = zip(*(columns[col].tolist() for col in cli.SWEEP_COLUMNS))
+    doc = {"note": cli.SWEEP_NOTE,
+           "rows": [{col: v if math.isfinite(v) else None
+                     for col, v in zip(cli.SWEEP_COLUMNS, row)} for row in rows]}
+    return json.dumps(doc, indent=2) + "\n"
+
+
+class TestSweepRendering:
+    @pytest.mark.parametrize("full_range", [False, True])
+    @pytest.mark.parametrize("grid", [2, 3, 201, 4481])
+    def test_bytes_match_the_reference(self, grid, full_range):
+        columns = sweep_columns(cli._sweep_grid(grid, full_range))
+        assert cli.render_sweep_csv(columns) == reference_csv(columns)
+        assert cli.render_sweep_json(columns) == reference_json(columns)
+
+    @pytest.mark.parametrize("full_range", [False, True])
+    def test_json_null_where_max_product_diverges(self, full_range):
+        columns = sweep_columns(cli._sweep_grid(201, full_range))
+        rows = json.loads(cli.render_sweep_json(columns))["rows"]
+        # c_opt reaches 1 at w = 1/2 and 0 at w = 0 and 1
+        diverges = ~np.isfinite(columns["max_product"])
+        assert columns["w_a_plus"][diverges].tolist() == ([0.0, 0.5, 1.0] if full_range
+                                                          else [0.5, 1.0])
+        assert [row["max_product"] is None for row in rows] == diverges.tolist()
+        assert all(v is not None for row in rows for col, v in row.items()
+                   if col != "max_product")
+
+
 class TestCalibrateCommand:
     def test_feasible_stack(self, capsys):
         code, out, _ = run(capsys, "calibrate", "--plates", "10")
@@ -333,6 +370,7 @@ ADVERSARIAL = [
         ("0.5", "inf"), ("0.5", "-1"), ("0.5", "1e-300"), ("0.5", "1e-160"), ("0", "0.5"),
         ("1", "0.5"), ("1", "1e-150"), ("0.999999", "1e-150"))],
     ["mc", "--w", "0.999999", "--c", "1e-150", "--shots", "1000000000000000000"],
+    ["mc", "--w", "0.999999999999", "--c", "1e-150", "--shots", "100000000000000", "--seed", "1"],
     ["mc", "--w", "0.5", "--c", "0.5", "--seed", "-1"],
     ["mc", "--w", "0.5", "--c", "0.5", "--seed", _huge(), "--shots", "10"],
     ["mc", "--w", "0.5", "--c", "0.5", "--shots", "0"],

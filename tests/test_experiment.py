@@ -449,6 +449,51 @@ class TestEstimateReport:
         with pytest.raises(RescalingSingularError):
             estimate_report(counts, 0.0)
 
+    @pytest.mark.filterwarnings("ignore:a marginal has zero weight")
+    @settings(max_examples=400, deadline=None)
+    @given(n=st.lists(st.integers(0, 10 ** 15), min_size=4, max_size=4).filter(any),
+           c=st.floats(1e-150, 1 - 1e-12))
+    def test_stderr_matches_the_absolute_gradient_form(self, n, c):
+        # the delta method with the gradient of the product itself squares
+        # product/(2 var) * (1 - 2 p); wherever that stays finite, the
+        # relative-gradient form in the library must agree with it to 1e-12
+        # of the terms the variance sums (they cancel where the two
+        # marginals move together, e.g. n = (0, k, k, 1))
+        shots = sum(n)
+        probs = np.array(n, dtype=float) / shots
+        report = report_from_probabilities(probs, shots, c)
+        b_plus, m_plus = float(probs[0] + probs[1]), float(probs[0] + probs[2])
+        b_var, m_var = b_plus * (1 - b_plus), m_plus * (1 - m_plus)
+        if not (b_var > 0 and m_var > 0):
+            assert report.product_stderr == 0.0
+            return
+        product = report.product_simultaneous
+        try:
+            k_b = product / (2 * b_var) * (1 - 2 * b_plus)
+            k_m = product / (2 * m_var) * (1 - 2 * m_plus)
+            cov = (float(probs[0]) - b_plus * m_plus) / shots
+            terms = (k_b ** 2 * b_var / shots, k_m ** 2 * m_var / shots, 2 * k_b * k_m * cov)
+        except OverflowError:
+            return
+        assert report.product_stderr ** 2 == pytest.approx(
+            max(sum(terms), 0.0), rel=0, abs=1e-12 * sum(map(abs, terms)))
+
+    def test_stderr_finite_where_the_gradient_squares_overflow(self):
+        # mc --w 0.999999999999 --c 1e-150 --shots 1e14 --seed 1: a product
+        # near 2e144 with a nearly pure probe marginal
+        n = (49999997003731, 43, 50000002996174, 52)
+        shots, c = sum(n), 1e-150
+        report = estimate_report(CoincidenceCounts(*n, shots=shots, seed=1), c)
+        # exact delta method on the counts; the float marginal 1 - m_plus
+        # keeps about four digits (it is 9.5e-13), so compare to 1e-3
+        b, m = Fraction(n[0] + n[1], shots), Fraction(n[0] + n[2], shots)
+        u, v = (1 - 2 * b) / (2 * b * (1 - b)), (1 - 2 * m) / (2 * m * (1 - m))
+        cov = Fraction(n[0], shots) - b * m
+        rel_var = (u * u * b * (1 - b) + v * v * m * (1 - m) + 2 * u * v * cov) / shots
+        assert math.isfinite(report.product_stderr)
+        assert report.product_stderr == pytest.approx(
+            report.product_simultaneous * math.sqrt(rel_var), rel=1e-3)
+
 
 class TestRunSetting:
     def test_calibrated_setting_hits_the_floor(self):
