@@ -41,7 +41,6 @@ from .protocol import (
     numeric_c_scan,
     sharp_deltas,
     sharp_probabilities,
-    unsharp_uncertainties,
     von_neumann_counterexample,
 )
 

@@ -61,13 +61,7 @@ _CONFIG_KEYS = {"seed": int, "shots": int, "visibility": float,
 
 def _fmt(x) -> str:
     """12-significant-digit, locale-independent rendering."""
-    if x is None:
-        return ""
-    if isinstance(x, float):
-        if math.isinf(x):
-            return "inf" if x > 0 else "-inf"
-        return format(x, ".12g")
-    return str(x)
+    return format(x, ".12g") if isinstance(x, float) else str(x)
 
 
 def _json_value(x):
@@ -92,22 +86,26 @@ class RunConfig:
 
 def load_config_file(path: str) -> dict:
     """Parse ``key = value`` lines; '#' starts a comment."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            lines = fh.readlines()
+    except UnicodeDecodeError as exc:
+        raise UsageError(f"{path}: not a UTF-8 text file ({exc})") from exc
     values: dict = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise UsageError(f"{path}:{lineno}: expected 'key = value', got {raw.strip()!r}")
-            key, _, val = line.partition("=")
-            key, val = key.strip(), val.strip()
-            if key not in _CONFIG_KEYS:
-                raise UsageError(f"{path}:{lineno}: unknown config key {key!r}")
-            try:
-                values[key] = _CONFIG_KEYS[key](val)
-            except ValueError as exc:
-                raise UsageError(f"{path}:{lineno}: bad value for {key!r}: {val!r}") from exc
+    for lineno, raw in enumerate(lines, start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise UsageError(f"{path}:{lineno}: expected 'key = value', got {raw.strip()!r}")
+        key, _, val = line.partition("=")
+        key, val = key.strip(), val.strip()
+        if key not in _CONFIG_KEYS:
+            raise UsageError(f"{path}:{lineno}: unknown config key {key!r}")
+        try:
+            values[key] = _CONFIG_KEYS[key](val)
+        except ValueError as exc:
+            raise UsageError(f"{path}:{lineno}: bad value for {key!r}: {val!r}") from exc
     if "format" in values and values["format"] not in ("csv", "json"):
         raise UsageError(f"{path}: format must be 'csv' or 'json'")
     return values
@@ -208,19 +206,18 @@ def cmd_state(args) -> int:
     pa = protocol.sharp_probabilities(s, "A")
     pb = protocol.sharp_probabilities(s, "B")
     delta_a, delta_b = protocol.sharp_deltas(s.w_a_plus)
-    report = protocol.unsharp_uncertainties(s, args.c)
+    da_prime, db_prime = protocol.unsharp_deltas(delta_a, delta_b, args.c)
     value, c_opt = protocol.min_product(delta_a, delta_b)
     scan = protocol.numeric_c_scan(s)
 
     print(f"equatorial state: w_a_plus = {_fmt(s.w_a_plus)}, sign = {args.sign}")
-    print(f"amplitudes: [{_fmt(s.amplitudes[0].real)}, {_fmt(s.amplitudes[1].real)}]")
+    print(f"amplitudes: [{_fmt(s.amplitudes[0])}, {_fmt(s.amplitudes[1])}]")
     print(f"sharp probabilities: A -> ({_fmt(pa[0])}, {_fmt(pa[1])})   "
           f"B -> ({_fmt(pb[0])}, {_fmt(pb[1])})")
     print(f"sharp uncertainties: delta_a = {_fmt(delta_a)}  delta_b = {_fmt(delta_b)}  "
           f"product = {_fmt(delta_a * delta_b)}")
-    print(f"unsharp at c = {_fmt(args.c)}: delta_a' = {_fmt(report.delta_a_prime)}  "
-          f"delta_b' = {_fmt(report.delta_b_prime)}  "
-          f"product = {_fmt(report.product_simultaneous)}")
+    print(f"unsharp at c = {_fmt(args.c)}: delta_a' = {_fmt(da_prime)}  "
+          f"delta_b' = {_fmt(db_prime)}  product = {_fmt(da_prime * db_prime)}")
     at_opt = "  [at optimum]" if abs(args.c - c_opt) <= 1e-3 else ""
     print(f"closed-form optimum: c_opt = {_fmt(c_opt)}  min_product = {_fmt(value)}{at_opt}")
     flag = " (boundary)" if scan.boundary else ""

@@ -30,10 +30,11 @@ pair, with inferred uncertainties
 whose product is minimized to 1 + delta_a*delta_b at
 c = sqrt(delta_a/(delta_a + delta_b)). This module implements these closed
 forms, both product extrema, a brute-force scan that cross-checks the
-optimum, and the constructive argument that no single von Neumann
-measurement can do the same job. The closed forms take floats or numpy
-arrays alike. Their amplitude-level derivation lives in `qmath`, which only
-the tests use.
+optimum, and the constructive argument, in Bloch components, that no
+single von Neumann measurement can do the same job. It does no amplitude
+arithmetic: the closed forms take floats or numpy arrays alike, and their
+amplitude-level derivation, Pauli matrices included, lives in `qmath`,
+which only the tests use.
 
 Conventions: |A+> = (1, 0), |A-> = (0, 1); |B+/-> = (|A+> +/- |A->)/sqrt(2).
 All uncertainties are normalized by the eigenvalue magnitudes.
@@ -60,12 +61,10 @@ __all__ = [
     "probe_noise",
     "unsharp_deltas",
     "unsharp_product",
-    "unsharp_uncertainties",
     "min_product",
     "max_product",
     "numeric_c_scan",
     "von_neumann_counterexample",
-    "bloch_vector",
 ]
 
 
@@ -86,17 +85,19 @@ class EquatorialState:
             raise UsageError(f"sign must be +1 or -1, got {self.sign}")
 
     @property
-    def amplitudes(self) -> np.ndarray:
+    def amplitudes(self) -> tuple[float, float]:
         w = self.w_a_plus
-        return np.array([math.sqrt(w), self.sign * math.sqrt(1.0 - w)], dtype=complex)
+        return (math.sqrt(w), self.sign * math.sqrt(1.0 - w))
 
 
 @dataclass(frozen=True)
 class UncertaintyReport:
-    """Sharp and inferred normalized uncertainties and their products.
+    """Sharp and inferred normalized uncertainties estimated from sampled counts.
 
-    ``product_stderr`` is filled only for reports estimated from sampled
-    counts (delta-method standard error of the simultaneous product).
+    ``product_stderr`` is the delta-method standard error of the
+    simultaneous product. The estimate can fall below 1 + delta_a*delta_b
+    when a sampled sharp uncertainty is clamped at zero; that is sampling
+    noise, so it is not checked here.
     """
 
     delta_a: float
@@ -106,7 +107,7 @@ class UncertaintyReport:
     product_sharp: float
     product_simultaneous: float
     c_used: float
-    product_stderr: float | None = None
+    product_stderr: float
 
     def __post_init__(self):
         for name in ("delta_a", "delta_b", "delta_a_prime", "delta_b_prime"):
@@ -115,13 +116,6 @@ class UncertaintyReport:
                 raise UsageError(f"{name} must be finite and non-negative, got {v}")
         if not 0.0 < self.c_used < 1.0:
             raise UsageError(f"c_used must be in (0, 1), got {self.c_used}")
-        # an exact report must respect the lower bound; an estimated one
-        # (product_stderr set) meets it identically unless a sampled sharp
-        # uncertainty was clamped at zero, where falling below it is sampling
-        # noise, not an error
-        if (self.product_stderr is None
-                and self.product_simultaneous < 1.0 + self.product_sharp - 1e-9):
-            raise UsageError("simultaneous product below its lower bound")
 
 
 @dataclass(frozen=True)
@@ -219,19 +213,6 @@ def unsharp_product(delta_a, delta_b, c):
     return da * db
 
 
-def unsharp_uncertainties(s: EquatorialState, c: float) -> UncertaintyReport:
-    """Full uncertainty report for measuring the state through overlap c."""
-    delta_a, delta_b = sharp_deltas(s.w_a_plus)
-    da_prime, db_prime = unsharp_deltas(delta_a, delta_b, c)
-    return UncertaintyReport(
-        delta_a=float(delta_a), delta_b=float(delta_b),
-        delta_a_prime=float(da_prime), delta_b_prime=float(db_prime),
-        product_sharp=float(delta_a * delta_b),
-        product_simultaneous=float(da_prime * db_prime),
-        c_used=float(c),
-    )
-
-
 # --------------------------------------------------------------------------
 # product extrema
 
@@ -310,18 +291,6 @@ def numeric_c_scan(s: EquatorialState) -> ScanResult:
 # --------------------------------------------------------------------------
 # why a single projective measurement cannot work
 
-_PAULI_A = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
-_PAULI_B = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
-_PAULI_N = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
-
-
-def bloch_vector(s: EquatorialState) -> np.ndarray:
-    """Bloch components of the state in the (A-axis, B-axis, normal) frame."""
-    amps = s.amplitudes
-    comp = [float(np.vdot(amps, op @ amps).real) for op in (_PAULI_A, _PAULI_B, _PAULI_N)]
-    return np.array(comp)
-
-
 def _equatorial_from_bloch(x: float, y: float) -> EquatorialState:
     w = min(max(0.5 * (1.0 + x), 0.0), 1.0)
     return make_equatorial(w, +1 if y >= 0.0 else -1)
@@ -337,6 +306,13 @@ def von_neumann_counterexample(measurement_axis) -> VonNeumannCounterexample:
     both, so no single sharp measurement can report correct means for both
     observables on all states. D along the A or B axis is excluded: the
     construction needs a direction distinct from both observables.
+
+    For a unit axis d, q = (-d_B, d_A, 0)/hypot(d_A, d_B), so d.q = 0 and
+    both states give P(+) = (1 +- d.q)/2 = 1/2; their means differ by 2|q_A|
+    in A and 2|q_B| in B. Where that norm is below 1e-12, near the polar
+    axis, q = (1, 0, 0) and d.q = d_A is below 1e-12. The returned
+    (w, sign) states carry q only to the precision of w: near the A
+    eigenstates their B component is rounded by about eps/delta_a.
     """
     d = np.asarray(measurement_axis, dtype=float)
     if d.shape != (3,) or not np.all(np.isfinite(d)):
@@ -350,31 +326,13 @@ def von_neumann_counterexample(measurement_axis) -> VonNeumannCounterexample:
                 f"measurement axis coincides with the {axis_name} axis; "
                 "the construction requires a direction distinct from both observables")
 
-    q = np.cross([0.0, 0.0, 1.0], d)
-    qn = np.linalg.norm(q)
-    if qn < 1e-12:
-        # polar axis: the whole equator is equiprobable, any antipodal pair works
-        q = np.array([1.0, 0.0, 0.0])
-    else:
-        q = q / qn
-
-    state_q = _equatorial_from_bloch(q[0], q[1])
-    state_mq = _equatorial_from_bloch(-q[0], -q[1])
-
-    op_d = d[0] * _PAULI_A + d[1] * _PAULI_B + d[2] * _PAULI_N
-    probs = []
-    for st in (state_q, state_mq):
-        amps = st.amplitudes
-        p_plus = float(np.vdot(amps, 0.5 * (np.eye(2) + op_d) @ amps).real)
-        probs.append((p_plus, 1.0 - p_plus))
-    if abs(probs[0][0] - probs[1][0]) > 1e-12:
-        raise RuntimeError("counterexample states do not share outcome statistics")
-
-    r_q, r_mq = bloch_vector(state_q), bloch_vector(state_mq)
-    gap_a = abs(r_q[0] - r_mq[0])
-    gap_b = abs(r_q[1] - r_mq[1])
+    d_a, d_b = float(d[0]), float(d[1])
+    norm = math.hypot(d_a, d_b)
+    # polar axis: the whole equator is equiprobable, any antipodal pair works
+    q_a, q_b = (-d_b / norm, d_a / norm) if norm >= 1e-12 else (1.0, 0.0)
     return VonNeumannCounterexample(
-        state_q=state_q, state_minus_q=state_mq,
-        outcome_probabilities=tuple(probs[0]),
-        mean_gap_a=gap_a, mean_gap_b=gap_b,
+        state_q=_equatorial_from_bloch(q_a, q_b),
+        state_minus_q=_equatorial_from_bloch(-q_a, -q_b),
+        outcome_probabilities=(0.5, 0.5),
+        mean_gap_a=2.0 * abs(q_a), mean_gap_b=2.0 * abs(q_b),
     )

@@ -11,6 +11,11 @@ independent route:
     (w, sign, c, m+, m-) -> equal-angle probe basis M+/-
     -> p[i, j] = |<B_i (x) M_j|psi>|^2.
 
+It is also the Pauli-matrix reference for the von Neumann argument in
+`protocol`: Bloch components as expectation values <psi|sigma|psi>, and the
+outcome probability of a projective measurement along an axis d from the
+projector (1 + d.sigma)/2.
+
 Vectors are numpy arrays of ``complex128``: length 2 for a single qubit,
 length 4 for the object-probe pair, object index major:
 
@@ -72,6 +77,25 @@ def require_state(a, atol: float = ATOL, what: str = "vector") -> np.ndarray:
     if abs(np.linalg.norm(v) - 1.0) > atol:
         raise UsageError(f"{what} is not normalized: |norm - 1| = {abs(norm(v) - 1.0):.3e}")
     return v
+
+
+# Pauli matrices along the A axis, the B axis and the normal to the A-B plane
+PAULI = (np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex),
+         np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex),
+         np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex))
+
+
+def pauli_expectations(amplitudes) -> np.ndarray:
+    """Bloch components <sigma> of a qubit state in the (A axis, B axis, normal) frame."""
+    v = require_state(amplitudes, what="qubit state")
+    return np.array([np.vdot(v, op @ v).real for op in PAULI])
+
+
+def axis_probability(amplitudes, axis) -> float:
+    """P(+) of a projective measurement along the unit axis: <(1 + axis.sigma)/2>."""
+    v = require_state(amplitudes, what="qubit state")
+    projector = 0.5 * (np.eye(2) + sum(d * op for d, op in zip(axis, PAULI)))
+    return float(np.vdot(v, projector @ v).real)
 
 
 def apply_to_object(op, s) -> np.ndarray:

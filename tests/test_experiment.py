@@ -412,14 +412,13 @@ class TestEstimateReport:
     def test_plug_in_consistency(self):
         # feeding exact probabilities must reproduce the analytic product
         w, c = 0.75, 0.6
-        s = protocol.make_equatorial(w, +1)
         p = protocol.joint_distribution(*bloch(w), c).ravel()
         report = report_from_probabilities(p, shots=10 ** 6, c_measured=c)
-        analytic = protocol.unsharp_uncertainties(s, c)
+        delta_a, delta_b = protocol.sharp_deltas(w)
         assert report.product_simultaneous == pytest.approx(
-            analytic.product_simultaneous, abs=1e-9)
-        assert report.delta_a == pytest.approx(analytic.delta_a, abs=1e-9)
-        assert report.delta_b == pytest.approx(analytic.delta_b, abs=1e-9)
+            protocol.unsharp_product(delta_a, delta_b, c), abs=1e-9)
+        assert report.delta_a == pytest.approx(delta_a, abs=1e-9)
+        assert report.delta_b == pytest.approx(delta_b, abs=1e-9)
         assert report.product_stderr > 0
 
     def test_monte_carlo_convergence(self):

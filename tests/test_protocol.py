@@ -3,7 +3,7 @@ import sys
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from simulmeas import protocol, qmath
@@ -18,7 +18,7 @@ from simulmeas.protocol import (
     probe_noise,
     sharp_deltas,
     sharp_probabilities,
-    unsharp_uncertainties,
+    unsharp_deltas,
     von_neumann_counterexample,
 )
 
@@ -51,6 +51,10 @@ class TestMakeEquatorial:
     def test_general_point(self):
         s = make_equatorial(0.75, -1)
         np.testing.assert_allclose(s.amplitudes, [math.sqrt(0.75), -0.5], atol=1e-15)
+
+    def test_amplitudes_are_real_floats(self):
+        amps = make_equatorial(0.3, -1).amplitudes
+        assert isinstance(amps, tuple) and [type(a) for a in amps] == [float, float]
 
     @pytest.mark.parametrize("w", [-0.1, 1.1, math.nan])
     def test_rejects_bad_probability(self, w):
@@ -320,20 +324,20 @@ class TestInferredMeans:
 
 class TestUnsharpUncertainties:
     def test_symmetric_point_reaches_bound(self):
-        report = unsharp_uncertainties(make_equatorial(SYMMETRIC_W), 1 / math.sqrt(2))
-        assert report.delta_a_prime == pytest.approx(math.sqrt(1.5), abs=1e-12)
-        assert report.delta_b_prime == pytest.approx(math.sqrt(1.5), abs=1e-12)
-        assert report.product_simultaneous == pytest.approx(1.5, abs=1e-12)
-        assert report.product_sharp == pytest.approx(0.5, abs=1e-12)
+        da, db = sharp_deltas(SYMMETRIC_W)
+        da_prime, db_prime = unsharp_deltas(da, db, 1 / math.sqrt(2))
+        assert da_prime == pytest.approx(math.sqrt(1.5), abs=1e-12)
+        assert db_prime == pytest.approx(math.sqrt(1.5), abs=1e-12)
+        assert da_prime * db_prime == pytest.approx(1.5, abs=1e-12)
+        assert da * db == pytest.approx(0.5, abs=1e-12)
 
     def test_a_eigenstate(self):
-        report = unsharp_uncertainties(make_equatorial(1.0), 0.5)
-        assert report.delta_a_prime == pytest.approx(0.5773502691896257, abs=1e-12)
+        da_prime, _ = unsharp_deltas(*sharp_deltas(1.0), 0.5)
+        assert da_prime == pytest.approx(0.5773502691896257, abs=1e-12)
 
     def test_sharp_a_limit(self):
-        s = make_equatorial(0.62, -1)
-        report = unsharp_uncertainties(s, 1e-6)
-        assert report.delta_a_prime == pytest.approx(sharp_deltas(0.62)[0], abs=1e-9)
+        da_prime, _ = unsharp_deltas(*sharp_deltas(0.62), 1e-6)
+        assert da_prime == pytest.approx(sharp_deltas(0.62)[0], abs=1e-9)
 
     def test_closed_form_equals_direct_route(self):
         # standard deviations of the rescaled two-point distributions of the
@@ -356,7 +360,7 @@ class TestUnsharpUncertainties:
     @pytest.mark.parametrize("c", [0.0, 1.0])
     def test_singular_overlap(self, c):
         with pytest.raises(RescalingSingularError):
-            unsharp_uncertainties(make_equatorial(0.7), c)
+            unsharp_deltas(*sharp_deltas(0.7), c)
 
 
 class TestClosedFormProperties:
@@ -386,7 +390,9 @@ class TestClosedFormProperties:
         product = protocol.unsharp_product(da, db, c)
         value, c_opt = min_product(da, db)
         assert product >= value * (1 - 4 * EPS)
-        assert unsharp_uncertainties(make_equatorial(w), c).product_simultaneous == product
+        # `state` prints the product of the two inferred uncertainties
+        da_prime, db_prime = unsharp_deltas(da, db, c)
+        assert da_prime * db_prime == product
         if 0 < c_opt < 1:
             assert protocol.unsharp_product(da, db, c_opt) == pytest.approx(value, rel=1e-12)
             assert max_product(c_opt) >= value
@@ -443,6 +449,18 @@ class TestNumericCScan:
         assert scan.product_best == pytest.approx(1.0, abs=1e-3)
 
 
+@st.composite
+def unit_axes(draw):
+    """Unit axes: random directions, and ones next to +-A, +-B and the polar axis."""
+    base = draw(st.sampled_from([(0, 0, 0), (1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0),
+                                 (0, 0, 1), (0, 0, -1)]))
+    offset = np.array(draw(st.lists(st.floats(-1, 1), min_size=3, max_size=3)))
+    scale = 10.0 ** draw(st.floats(-14, 0)) if any(base) else 1.0
+    v = np.array(base) + scale * offset
+    assume(np.linalg.norm(v) > 1e-3)
+    return v / np.linalg.norm(v)
+
+
 class TestVonNeumannCounterexample:
     @pytest.mark.parametrize("angle", [math.pi / 8, math.pi / 3])
     def test_equatorial_axes(self, angle):
@@ -468,6 +486,36 @@ class TestVonNeumannCounterexample:
             ce = von_neumann_counterexample(axis)
             assert ce.outcome_probabilities[0] == pytest.approx(0.5, abs=1e-12)
             assert max(ce.mean_gap_a, ce.mean_gap_b) >= math.sqrt(2) - 1e-9
+
+    @pytest.mark.parametrize("axis", [[1e-6, 1, 0], [1e-9, -1, 0], [1e-8, 1, 1e-8]])
+    def test_axes_next_to_b(self, axis):
+        # the rounded (w, sign) states carry q_B only to about eps/q_B here;
+        # the outcome statistics and gaps come from q itself and do not raise
+        d = np.array(axis) / np.linalg.norm(axis)
+        q_a, q_b = -d[1] / math.hypot(d[0], d[1]), d[0] / math.hypot(d[0], d[1])
+        ce = von_neumann_counterexample(d)
+        assert ce.outcome_probabilities == (0.5, 0.5)
+        assert ce.mean_gap_a == 2 * abs(q_a) == pytest.approx(2.0, abs=1e-11)
+        assert ce.mean_gap_b == 2 * abs(q_b)
+
+    @settings(max_examples=500, deadline=None)
+    @given(axis=unit_axes())
+    def test_matches_the_pauli_reference(self, axis):
+        try:
+            ce = von_neumann_counterexample(axis)
+        except UsageError:
+            assume(False)  # on the A or B axis, which the construction excludes
+        states = (ce.state_q, ce.state_minus_q)
+        delta_a = min(sharp_deltas(s.w_a_plus)[0] for s in states)
+        # the (w, sign) form rounds y by about eps/delta_a near the A
+        # eigenstates; written multiplied out so delta_a = 0 is allowed
+        def close(value, exact):
+            return abs(value - exact) * delta_a <= 4 * EPS * (1 + delta_a)
+        for s in states:
+            assert close(qmath.axis_probability(s.amplitudes, axis), 0.5)
+        r_q, r_mq = (qmath.pauli_expectations(s.amplitudes) for s in states)
+        assert close(ce.mean_gap_a, abs(r_q[0] - r_mq[0]))
+        assert close(ce.mean_gap_b, abs(r_q[1] - r_mq[1]))
 
     @pytest.mark.parametrize("axis", [[1, 0, 0], [0, -1, 0]])
     def test_rejects_observable_axes(self, axis):

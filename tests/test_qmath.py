@@ -127,3 +127,22 @@ class TestReferenceChain:
     def test_decompose_rejects_complex_states(self):
         with pytest.raises(UsageError):
             qmath.decompose(np.array([1, 1j, 0, 0]) / math.sqrt(2))
+
+
+class TestPauliReference:
+    # the Pauli-matrix route the von Neumann argument is checked against
+    def test_bloch_components_of_the_axes(self):
+        for amps, r in (([1, 0], [1, 0, 0]), ([0, 1], [-1, 0, 0]),
+                        (np.array([1, 1]) / np.sqrt(2), [0, 1, 0]),
+                        (np.array([1, 1j]) / np.sqrt(2), [0, 0, 1])):
+            np.testing.assert_allclose(qmath.pauli_expectations(amps), r, atol=1e-15)
+
+    def test_axis_probability_is_the_projector_mean(self):
+        rng = np.random.default_rng(19)
+        for _ in range(50):
+            amps = qmath.normalize(rng.normal(size=2) + 1j * rng.normal(size=2))
+            axis = rng.normal(size=3)
+            axis /= np.linalg.norm(axis)
+            r = qmath.pauli_expectations(amps)
+            assert qmath.axis_probability(amps, axis) == pytest.approx(
+                (1 + axis @ r) / 2, abs=1e-14)
