@@ -11,7 +11,6 @@ runtime module, this one included, imports it.
 from . import cli, experiment, protocol
 from .errors import (
     CalibrationInfeasibleError,
-    EmptyEnsembleError,
     RescalingSingularError,
     SimulmeasError,
     UsageError,
@@ -19,7 +18,6 @@ from .errors import (
 from .experiment import (
     CoincidenceCounts,
     NoiseModel,
-    PolarizerConfig,
     PreparedState,
     calibrate_alpha,
     estimate_report,

@@ -12,8 +12,10 @@ CSV numbers carry 12 significant digits; divergent values (the maximum
 product at the sweep endpoints) print as ``inf`` in CSV and ``null`` in
 JSON. A key-value config file can pin defaults; explicit flags win.
 
+Warnings a subcommand raises print as ``warning: <message>`` lines on stderr.
+
 Exit codes: 0 success, 2 usage error, 3 singular rescaling, 4 infeasible
-calibration or empty ensemble, 5 I/O error.
+calibration, 5 I/O error.
 """
 
 from __future__ import annotations
@@ -23,17 +25,13 @@ import json
 import math
 import os
 import sys
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import experiment, protocol
-from .errors import (
-    CalibrationInfeasibleError,
-    EmptyEnsembleError,
-    RescalingSingularError,
-    UsageError,
-)
+from .errors import CalibrationInfeasibleError, RescalingSingularError, UsageError
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -246,8 +244,7 @@ def cmd_calibrate(args) -> int:
     print("root  alpha_rad         c                 w_a_plus          "
           "min_product       residual")
     for k, alpha in enumerate(roots, start=1):
-        st = experiment.prepare(
-            experiment.PolarizerConfig.from_plates(args.plates, alpha, cfg.index))
+        st = experiment.prepare(t_s, alpha)
         value, c_opt = protocol.min_product(st.delta_a, st.delta_b)
         print(f"{k:<5d} {_fmt(alpha):<18s}{_fmt(st.c):<18s}{_fmt(st.w_a_plus):<18s}"
               f"{_fmt(value):<18s}{_fmt(abs(st.c - c_opt))}")
@@ -259,11 +256,11 @@ def _resolve_mc_setting(args, cfg: RunConfig) -> tuple[float, float, float, floa
     if args.plates is not None:
         if args.w is not None or args.c is not None:
             raise UsageError("give either --plates/--root or --w/--c, not both")
+        t_s = experiment.stack_transmittance(args.plates, cfg.index)
         roots = experiment.calibrate_alpha(args.plates, cfg.index)
         if not 1 <= args.root <= len(roots):
             raise UsageError(f"--root must be in 1..{len(roots)} for {args.plates} plates")
-        st = experiment.prepare(
-            experiment.PolarizerConfig.from_plates(args.plates, roots[args.root - 1], cfg.index))
+        st = experiment.prepare(t_s, roots[args.root - 1])
         return st.w_a_plus, st.c, st.x, st.y
     if args.w is None or args.c is None:
         raise UsageError("mc needs either --plates (with --root) or both --w and --c")
@@ -353,28 +350,34 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _print_warning(message, category, filename, lineno, file=None, line=None):
+    print(f"warning: {message}", file=sys.stderr)
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    try:
-        return args.func(args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except RescalingSingularError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_SINGULAR
-    except CalibrationInfeasibleError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        print(f"diagnostic: margin k^2 - k_min^2 = {exc.margin:+.7f}; this plate count "
-              f"calibrates above index n* = {exc.threshold_index:.7f}", file=sys.stderr)
-        return EXIT_INFEASIBLE
-    except EmptyEnsembleError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INFEASIBLE
-    except OSError as exc:
-        print(f"i/o error: {exc}", file=sys.stderr)
-        return EXIT_IO
+    # a warning is a diagnostic line for the shell user, printed as it is
+    # raised and without the source location Python's default adds
+    with warnings.catch_warnings():
+        warnings.simplefilter("always")
+        warnings.showwarning = _print_warning
+        try:
+            return args.func(args)
+        except UsageError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return EXIT_USAGE
+        except RescalingSingularError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return EXIT_SINGULAR
+        except CalibrationInfeasibleError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            print(f"diagnostic: margin k^2 - k_min^2 = {exc.margin:+.7f}; this plate count "
+                  f"calibrates above index n* = {exc.threshold_index:.7f}", file=sys.stderr)
+            return EXIT_INFEASIBLE
+        except OSError as exc:
+            print(f"i/o error: {exc}", file=sys.stderr)
+            return EXIT_IO
 
 
 if __name__ == "__main__":

@@ -21,10 +21,6 @@ class RescalingSingularError(SimulmeasError):
     """
 
 
-class EmptyEnsembleError(SimulmeasError):
-    """Post-selection removed every event (zero transmission on both polarizer axes)."""
-
-
 class CalibrationInfeasibleError(SimulmeasError):
     """No rotation angle satisfies the optimal-product condition for this plate stack.
 

@@ -3,7 +3,7 @@
 A down-conversion source emits polarization-singlet pairs; coincidence
 post-selection keeps only the two-photon component. A partial polarizer --
 a stack of glass plates at the Brewster angle -- sits in the object arm,
-transmitting its high axis fully (t_p = 1) and the orthogonal axis with
+transmitting its high axis without loss and the orthogonal axis with
 amplitude t_s set by the plate count. Rotated by alpha from the vertical
 |A+> direction, it turns the post-selected singlet into the protocol's
 partially entangled family: alpha = 0 leaves the probe conditionals
@@ -17,28 +17,27 @@ product, and `calibrate_alpha` finds them.
 Coincidence counting is modeled as seeded multinomial sampling over the four
 joint outcomes of `protocol.joint_distribution`, with an optional
 visibility knob mixing in a uniform background to mimic imperfect state
-purity. `estimate_report` rebuilds the uncertainty product from raw counts
-exactly the way the measured data would be processed: empirical marginals,
-rescaled two-point distributions, then standard deviations.
+purity. `estimate_report` rebuilds the uncertainty product from the
+integer counts the way the measured data would be processed: empirical
+marginals, rescaled two-point distributions, then standard deviations. The
+count ratios in the product and in its delta-method variance are each
+rounded once, so the estimate keeps full precision for any counts up to
+the sampler's 2^63 - 1 shots, nearly pure marginals included.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import protocol
-from .errors import (
-    CalibrationInfeasibleError,
-    EmptyEnsembleError,
-    UsageError,
-)
+from .errors import CalibrationInfeasibleError, UsageError
 
 __all__ = [
-    "PolarizerConfig",
     "PreparedState",
     "CoincidenceCounts",
     "NoiseModel",
@@ -48,7 +47,6 @@ __all__ = [
     "calibrate_alpha",
     "threshold_index",
     "sample_coincidences",
-    "report_from_probabilities",
     "estimate_report",
     "run_setting",
 ]
@@ -93,42 +91,6 @@ def stack_transmittance(plate_count: int, refractive_index: float) -> float:
 
 
 @dataclass(frozen=True)
-class PolarizerConfig:
-    """Brewster-stack partial polarizer: plate count, glass index, rotation.
-
-    ``alpha`` is the angle of the high-transmission axis measured from the
-    vertical |A+> direction; ``t_p``/``t_s`` are the amplitude
-    transmittances along/orthogonal to that axis. Use `from_plates` to
-    derive ``t_s`` from the stack; direct construction allows idealized
-    values such as a perfect polarizer (t_s = 0).
-    """
-
-    plate_count: int
-    refractive_index: float
-    alpha: float
-    t_p: float = 1.0
-    t_s: float = 0.0
-
-    def __post_init__(self):
-        if not (isinstance(self.plate_count, int) and self.plate_count >= 1):
-            raise UsageError(f"plate_count must be a positive integer, got {self.plate_count}")
-        if not self.refractive_index > 1.0:
-            raise UsageError(f"refractive index must exceed 1, got {self.refractive_index}")
-        if not math.isfinite(self.alpha):
-            raise UsageError("alpha must be finite")
-        if not 0.0 <= self.t_s <= self.t_p <= 1.0:
-            raise UsageError(
-                f"need 0 <= t_s <= t_p <= 1, got t_s={self.t_s}, t_p={self.t_p}")
-
-    @classmethod
-    def from_plates(cls, plate_count: int, alpha: float,
-                    refractive_index: float = DEFAULT_REFRACTIVE_INDEX) -> "PolarizerConfig":
-        t_s = stack_transmittance(plate_count, refractive_index)
-        return cls(plate_count=plate_count, refractive_index=float(refractive_index),
-                   alpha=float(alpha), t_p=1.0, t_s=t_s)
-
-
-@dataclass(frozen=True)
 class PreparedState:
     """The post-selected pair state in the protocol's terms, and its yield.
 
@@ -152,28 +114,32 @@ class PreparedState:
         return abs(self.x)
 
 
-def prepare(cfg: PolarizerConfig) -> PreparedState:
+def prepare(t_s: float, alpha: float) -> PreparedState:
     """Send the singlet's object photon through the polarizer and post-select.
 
-    With P = t_p^2, S = t_s^2, k = (P - S)/(P + S) and
-    a = 4PS/(P + S)^2 = 1 - k^2, the post-selected state has
+    The stack passes its high axis, at ``alpha`` from the vertical |A+>
+    direction, without loss and the orthogonal axis with amplitude ``t_s``.
+    With S = t_s^2, k = (1 - S)/(1 + S) and a = 4S/(1 + S)^2 = 1 - k^2, the
+    post-selected state has
 
         x = k cos 2alpha,   delta_a = sqrt(a + k^2 sin^2 2alpha),
         y = sgn(sin 2alpha) delta_a,   c = k |sin 2alpha| / delta_a,
 
-    w = (1 + x)/2, and yield (P + S)/2, independent of alpha by singlet
-    isotropy. sqrt(a) = 2 t_p t_s/(P + S) is formed directly, so delta_a
+    w = (1 + x)/2, and yield (1 + S)/2 >= 1/2, independent of alpha by
+    singlet isotropy. sqrt(a) = 2 t_s/(1 + S) is formed directly, so delta_a
     keeps full relative precision for thick stacks. At delta_a = 0 (t_s = 0
     at alpha = 0) the object is an A eigenstate and c is reported as 1.
     """
-    p, s = cfg.t_p * cfg.t_p, cfg.t_s * cfg.t_s
-    total = p + s
-    if 0.5 * total < 1e-30:
-        raise EmptyEnsembleError("polarizer blocks both axes; post-selection keeps nothing")
-    k = (p - s) / total
-    sin2, cos2 = math.sin(2.0 * cfg.alpha), math.cos(2.0 * cfg.alpha)
+    if not 0.0 <= t_s <= 1.0:
+        raise UsageError(f"need 0 <= t_s <= 1, got t_s={t_s}")
+    if not math.isfinite(alpha):
+        raise UsageError("alpha must be finite")
+    s = t_s * t_s
+    total = 1.0 + s
+    k = (1.0 - s) / total
+    sin2, cos2 = math.sin(2.0 * alpha), math.cos(2.0 * alpha)
     x = k * cos2
-    delta_a = math.hypot(2.0 * cfg.t_p * cfg.t_s / total, k * sin2)
+    delta_a = math.hypot(2.0 * t_s / total, k * sin2)
     c = k * abs(sin2) / delta_a if delta_a > 0.0 else 1.0
     return PreparedState(w_a_plus=0.5 * (1.0 + x), c=c, x=x, y=math.copysign(delta_a, sin2),
                          success_probability=0.5 * total)
@@ -298,7 +264,11 @@ class NoiseModel:
 
 @dataclass(frozen=True)
 class CoincidenceCounts:
-    """Joint outcome counts, ordered (B+,M+), (B+,M-), (B-,M+), (B-,M-)."""
+    """Joint outcome counts, ordered (B+,M+), (B+,M-), (B-,M+), (B-,M-).
+
+    Counts and shots are stored as Python integers (numpy integers are
+    accepted), so the estimate's integer arithmetic never overflows.
+    """
 
     n_pp: int
     n_pm: int
@@ -308,14 +278,16 @@ class CoincidenceCounts:
     seed: int
 
     def __post_init__(self):
+        try:
+            for name in ("n_pp", "n_pm", "n_mp", "n_mm", "shots"):
+                object.__setattr__(self, name, operator.index(getattr(self, name)))
+        except TypeError:
+            raise UsageError("counts and shots must be integers") from None
         counts = (self.n_pp, self.n_pm, self.n_mp, self.n_mm)
         if any(n < 0 for n in counts):
             raise UsageError("counts must be non-negative")
         if sum(counts) != self.shots or self.shots <= 0:
             raise UsageError(f"counts sum to {sum(counts)}, shots = {self.shots}")
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.n_pp, self.n_pm, self.n_mp, self.n_mm], dtype=float)
 
 
 def sample_coincidences(p, shots: int, seed: int,
@@ -331,57 +303,53 @@ def sample_coincidences(p, shots: int, seed: int,
     mixed = noise.apply(np.clip(probs, 0.0, None))
     mixed = mixed / mixed.sum()
     counts = np.random.default_rng(seed).multinomial(int(shots), mixed)
-    return CoincidenceCounts(n_pp=int(counts[0]), n_pm=int(counts[1]),
-                             n_mp=int(counts[2]), n_mm=int(counts[3]),
-                             shots=int(shots), seed=int(seed))
+    return CoincidenceCounts(*counts.tolist(), shots=int(shots), seed=int(seed))
 
 
-def report_from_probabilities(p_hat, shots: int, c_measured: float) -> protocol.UncertaintyReport:
-    """Uncertainty report from (empirical) joint outcome frequencies.
+def estimate_report(counts: CoincidenceCounts, c_measured: float) -> protocol.UncertaintyReport:
+    """Reduce raw coincidence counts to an uncertainty report.
 
-    Marginals give the two-point outcome distributions; rescaling by
-    1/c and 1/sqrt(1-c^2) and taking standard deviations mirrors how
-    measured coincidence data are reduced. The sharp uncertainties are
-    recovered by inverting the closed forms (clamped at zero), and the
-    product's standard error comes from the multinomial delta method.
+    The object's B+ marginal (n_b+ = n_pp + n_pm of N shots) and the probe's
+    M+ marginal (n_m+ = n_pp + n_mp) give the two-point outcome
+    distributions; rescaling by 1/c and 1/sqrt(1-c^2) and taking standard
+    deviations mirrors how measured coincidence data are reduced:
+
+        product = 4/(c sqrt(1-c^2)) * sqrt(n_b+ n_b- n_m+ n_m- / N^4).
+
+    The product's relative delta-method variance, in which the two marginals
+    share the (B+,M+) cell, is one ratio of integers:
+
+        [(n_b- - n_b+)^2 n_m+ n_m- + (n_m- - n_m+)^2 n_b+ n_b-
+         + 2 (n_b- - n_b+)(n_m- - n_m+)(n_pp N - n_b+ n_m+)]
+        / (4 n_b+ n_b- n_m+ n_m- N).
+
+    Each count ratio is one correctly rounded division of integers, so a
+    nearly pure marginal keeps full precision. The sharp uncertainties are
+    recovered by inverting the closed forms (clamped at zero).
     """
     c = float(c_measured)
     noise_a, noise_b = protocol.probe_noise(c)
-    probs = np.asarray(p_hat, dtype=float).ravel()
-    if probs.shape != (4,):
-        raise UsageError(f"expected 4 outcome frequencies, got shape {probs.shape}")
-    if abs(probs.sum() - 1.0) > 1e-9:
-        raise UsageError(f"outcome frequencies sum to {probs.sum():.15g}, not 1")
-    if shots < 1:
-        raise UsageError(f"shots must be >= 1, got {shots}")
-
-    b_plus = float(probs[0] + probs[1])  # object B+ marginal
-    m_plus = float(probs[0] + probs[2])  # probe M+ marginal
-    if min(b_plus, 1.0 - b_plus, m_plus, 1.0 - m_plus) <= 0.0:
+    n = counts.shots
+    b_plus, m_plus = counts.n_pp + counts.n_pm, counts.n_pp + counts.n_mp
+    b_minus, m_minus = n - b_plus, n - m_plus
+    b_var, m_var = b_plus * b_minus, m_plus * m_minus  # times N^2
+    if not (b_var and m_var):
         warnings.warn("a marginal has zero weight; uncertainty estimate is degenerate",
                       stacklevel=2)
 
-    b_var = max(b_plus * (1.0 - b_plus), 0.0)
-    m_var = max(m_plus * (1.0 - m_plus), 0.0)
-    db_prime = 2.0 / c * math.sqrt(b_var)
-    da_prime = 2.0 / math.sqrt(1.0 - c * c) * math.sqrt(m_var)
-    product = da_prime * db_prime
+    db_prime = 2.0 / c * math.sqrt(b_var / (n * n))
+    da_prime = 2.0 / math.sqrt(1.0 - c * c) * math.sqrt(m_var / (n * n))
+    product = 4.0 / (c * math.sqrt(1.0 - c * c)) * math.sqrt(b_var * m_var / n ** 4)
 
     delta_a = math.sqrt(max(da_prime ** 2 - noise_a, 0.0))
     delta_b = math.sqrt(max(db_prime ** 2 - noise_b, 0.0))
 
-    # delta-method standard error of the product; the two marginals share
-    # the (B+,M+) cell, hence the covariance term. The gradient is taken
-    # relative to the product, which stays out of the squares: (product * v)^2
-    # overflows when c is tiny and the probe marginal nearly pure.
-    if b_var > 0.0 and m_var > 0.0:
-        u = (1.0 - 2.0 * b_plus) / (2.0 * b_var)
-        v = (1.0 - 2.0 * m_plus) / (2.0 * m_var)
-        var_b = b_var / shots
-        var_m = m_var / shots
-        cov = (float(probs[0]) - b_plus * m_plus) / shots
-        variance = u * u * var_b + v * v * var_m + 2.0 * u * v * cov
-        stderr = product * math.sqrt(max(variance, 0.0))
+    if b_var and m_var:
+        u, v = b_minus - b_plus, m_minus - m_plus
+        rel_var = ((u * u * m_var + v * v * b_var
+                    + 2 * u * v * (counts.n_pp * n - b_plus * m_plus))
+                   / (4 * b_var * m_var * n))
+        stderr = product * math.sqrt(rel_var)
     else:
         stderr = 0.0
 
@@ -392,12 +360,6 @@ def report_from_probabilities(p_hat, shots: int, c_measured: float) -> protocol.
         product_simultaneous=product,
         c_used=c, product_stderr=stderr,
     )
-
-
-def estimate_report(counts: CoincidenceCounts, c_measured: float) -> protocol.UncertaintyReport:
-    """Reduce raw coincidence counts to an uncertainty report."""
-    return report_from_probabilities(counts.as_array() / counts.shots,
-                                     counts.shots, c_measured)
 
 
 def run_setting(x: float, y: float, c: float, shots: int, seed: int,

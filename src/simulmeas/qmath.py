@@ -31,7 +31,7 @@ import math
 
 import numpy as np
 
-from .errors import EmptyEnsembleError, UsageError
+from .errors import UsageError
 
 # Shared absolute tolerance for exact-arithmetic identities (normalization,
 # orthogonality). Callers may pass a looser/tighter value.
@@ -121,28 +121,26 @@ def singlet() -> np.ndarray:
     return np.array([0.0, 1.0, -1.0, 0.0], dtype=complex) / math.sqrt(2.0)
 
 
-def polarizer_operator(alpha: float, t_p: float, t_s: float) -> np.ndarray:
+def polarizer_operator(alpha: float, t_s: float) -> np.ndarray:
     """Jones operator of the stack rotated by alpha, in the A basis.
 
-    R(alpha) diag(t_p, t_s) R(-alpha): Hermitian with eigenvalues
-    {t_p, t_s}; the t_p eigenvector is the high-transmission axis at angle
-    alpha from |A+>.
+    R(alpha) diag(1, t_s) R(-alpha): Hermitian with eigenvalues {1, t_s};
+    the lossless eigenvector is the high-transmission axis at angle alpha
+    from |A+>.
     """
     c, s = math.cos(alpha), math.sin(alpha)
     rot = np.array([[c, -s], [s, c]])
-    return (rot @ np.diag([t_p, t_s]) @ rot.T).astype(complex)
+    return (rot @ np.diag([1.0, t_s]) @ rot.T).astype(complex)
 
 
-def post_select(alpha: float, t_p: float, t_s: float) -> tuple[np.ndarray, float]:
+def post_select(alpha: float, t_s: float) -> tuple[np.ndarray, float]:
     """The singlet after its object photon crosses the polarizer: (state, yield).
 
-    The yield is the squared norm of the filtered singlet; the state is
-    normalized.
+    The yield is the squared norm of the filtered singlet, at least 1/2
+    since the high axis passes without loss; the state is normalized.
     """
-    raw = apply_to_object(polarizer_operator(alpha, t_p, t_s), singlet())
+    raw = apply_to_object(polarizer_operator(alpha, t_s), singlet())
     p_ok = float(np.vdot(raw, raw).real)
-    if p_ok < 1e-30:
-        raise EmptyEnsembleError("polarizer blocks both axes; post-selection keeps nothing")
     return raw / math.sqrt(p_ok), p_ok
 
 
@@ -216,12 +214,12 @@ def equatorial_joint(w: float, sign: int, c: float) -> np.ndarray:
     return joint_probabilities(entangle(w, sign, c), probe_basis(*conditional_pair(c)))
 
 
-def prepared_joint(alpha: float, t_p: float, t_s: float):
+def prepared_joint(alpha: float, t_s: float):
     """(w, sign, c, yield, p) of the post-selected state, the whole chain.
 
     ``p`` is None where the probe conditionals coincide (c = 1).
     """
-    state, p_ok = post_select(alpha, t_p, t_s)
+    state, p_ok = post_select(alpha, t_s)
     w, sign, c, m_plus, m_minus = decompose(state)
     p = None if c >= 1.0 - ATOL else joint_probabilities(state, probe_basis(m_plus, m_minus))
     return w, sign, c, p_ok, p

@@ -20,7 +20,7 @@ import pytest
 
 from simulmeas import cli, experiment, protocol
 from simulmeas.errors import CalibrationInfeasibleError
-from simulmeas.experiment import NoiseModel, PolarizerConfig, calibrate_alpha, run_setting
+from simulmeas.experiment import NoiseModel, calibrate_alpha, run_setting, stack_transmittance
 
 PLATE_COUNTS = (7, 8, 10)
 INDEX = 1.5
@@ -153,7 +153,7 @@ def test_criterion_05_max_product():
     settings, _ = calibrated_settings()
     dominated = []
     for plates, alpha in settings:
-        st = experiment.prepare(PolarizerConfig.from_plates(plates, alpha, INDEX))
+        st = experiment.prepare(stack_transmittance(plates, INDEX), alpha)
         dominated.append(protocol.max_product(st.c) >= 1 + st.delta_a * st.delta_b)
     ok = abs(symmetric - 2.0) <= 1e-12 and all(dominated) and len(dominated) > 0
     record(5, ok, f"max product: value at 1/sqrt(2) = {symmetric!r}, "
@@ -164,14 +164,10 @@ def test_criterion_06_preparation_endpoints():
     """Aligned polarizer biases w only; perfect diagonal one entangles nothing."""
     worst_c, worst_w = 0.0, 0.0
     for t in (0.2, 0.32608476781953255, 0.7):
-        cfg = PolarizerConfig(plate_count=1, refractive_index=INDEX, alpha=0.0,
-                              t_p=1.0, t_s=t)
-        d = experiment.prepare(cfg)
+        d = experiment.prepare(t, 0.0)
         worst_c = max(worst_c, d.c)
         worst_w = max(worst_w, abs(d.w_a_plus - 1 / (1 + t * t)))
-    cfg = PolarizerConfig(plate_count=1, refractive_index=INDEX, alpha=math.pi / 4,
-                          t_p=1.0, t_s=0.0)
-    d = experiment.prepare(cfg)
+    d = experiment.prepare(0.0, math.pi / 4)
     ok = (worst_c <= 1e-12 and worst_w <= 1e-10
           and d.c >= 1 - 1e-10 and abs(d.w_a_plus - 0.5) <= 1e-10)
     record(6, ok, f"preparation endpoints: aligned c <= {worst_c:.1e}, "
@@ -192,7 +188,7 @@ def test_criterion_07_calibration_six_settings():
             continue
         per_stack[plates] = f"{len(roots)} roots"
         for alpha in roots:
-            st = experiment.prepare(PolarizerConfig.from_plates(plates, alpha, INDEX))
+            st = experiment.prepare(stack_transmittance(plates, INDEX), alpha)
             _, c_opt = protocol.min_product(st.delta_a, st.delta_b)
             worst_residual = max(worst_residual, abs(st.c - c_opt))
     elapsed = time.perf_counter() - start
@@ -210,7 +206,7 @@ def test_criterion_08_monte_carlo_reproduces_the_floor():
     stats_ok = True
     details = []
     for plates, alpha in settings:
-        st = experiment.prepare(PolarizerConfig.from_plates(plates, alpha, INDEX))
+        st = experiment.prepare(stack_transmittance(plates, INDEX), alpha)
         target = 1 + st.delta_a * st.delta_b
         hits = 0
         for k in range(20):
@@ -231,7 +227,7 @@ def test_criterion_09_noise_direction():
     settings, infeasible = calibrated_settings()
     above = []
     for plates, alpha in settings:
-        st = experiment.prepare(PolarizerConfig.from_plates(plates, alpha, INDEX))
+        st = experiment.prepare(stack_transmittance(plates, INDEX), alpha)
         _, report = run_setting(st.x, st.y, st.c, shots=10 ** 6, seed=NOISE_SEED,
                                 noise=NoiseModel(visibility=0.95))
         clean = protocol.unsharp_product(st.delta_a, st.delta_b, st.c)

@@ -1,4 +1,3 @@
-import contextlib
 import json
 import math
 import re
@@ -11,18 +10,20 @@ from simulmeas.cli import main, sweep_columns
 
 
 # the warnings some valid inputs give: a thick stack with a calibration root
-# rounded onto alpha = 0 or pi/4, and an estimate with a marginal of zero weight
+# rounded onto alpha = 0 or pi/4, an estimate with a marginal of zero weight,
+# and a state report at an overlap next to 0 or 1
 ROOT_COUNT = "expected 2 calibration roots, found 1"
 ZERO_MARGINAL = "a marginal has zero weight"
+BOUNDARY = "c is near a singular boundary"
 
 
-@contextlib.contextmanager
-def expect_warnings(*patterns):
-    """Fail unless each pattern matches a `UserWarning` raised in the block."""
-    with contextlib.ExitStack() as stack:
-        for pattern in patterns:
-            stack.enter_context(pytest.warns(UserWarning, match=pattern))
-        yield
+def assert_warned(err, *patterns):
+    """stderr has one ``warning: ...`` line per pattern, in order, and no
+    other; none of them carries Python's source location."""
+    warned = [line for line in err.splitlines() if line.startswith("warning: ")]
+    assert len(warned) == len(patterns), err
+    assert all(p in line for p, line in zip(patterns, warned)), err
+    assert ".py:" not in err
 
 
 def run(capsys, *argv):
@@ -217,9 +218,9 @@ class TestCalibrateCommand:
         # delta_a comes from the stack parameters, not from a rounded w; at
         # 200 plates the root near pi/4 rounds onto it and is dropped
         expected = (ROOT_COUNT,) if plates == "200" else ()
-        with expect_warnings(*expected):
-            code, out, _ = run(capsys, "calibrate", "--plates", plates, "--index", index)
+        code, out, err = run(capsys, "calibrate", "--plates", plates, "--index", index)
         assert code == 0
+        assert_warned(err, *expected)
         lines = [l for l in out.splitlines() if l and l[0].isdigit()]
         assert lines
         for line in lines:
@@ -281,12 +282,33 @@ class TestMcCommand:
     def test_thick_stack_setting(self, capsys):
         # the root near alpha = 0 of a 200-plate stack: delta_a and delta_b
         # come from the prepared state, so the analytic product sits on the floor
-        with expect_warnings(ROOT_COUNT, ZERO_MARGINAL):
-            code, out, _ = run(capsys, "mc", "--plates", "200", "--shots", "1000")
+        code, out, err = run(capsys, "mc", "--plates", "200", "--shots", "1000")
         assert code == 0
+        assert_warned(err, ROOT_COUNT, ZERO_MARGINAL)
         analytic, floor = map(float, re.findall(
             r"analytic product = (\S+)  minimum possible = (\S+)", out)[0])
         assert analytic == pytest.approx(floor, rel=1e-12)
+
+    def test_warning_is_a_plain_stderr_line(self, capsys):
+        code, _, err = run(capsys, "mc", "--plates", "200", "--shots", "1000")
+        assert code == 0
+        assert ("warning: 200 plates at index 1.5: expected 2 calibration roots, found 1"
+                in err.splitlines())
+
+    def test_warning_printed_before_a_failing_exit(self, capsys):
+        # the 200-plate stack keeps one root, so a second one is a usage error
+        code, _, err = run(capsys, "mc", "--plates", "200", "--root", "2", "--shots", "100")
+        assert code == cli.EXIT_USAGE
+        assert_warned(err, ROOT_COUNT)
+        assert err.splitlines()[-1].startswith("error: --root must be in 1..1")
+
+    def test_nearly_pure_marginal_is_estimated_exactly(self, capsys):
+        # counts (49999997003731, 43, 50000002996174, 52): 1 - m_plus is
+        # 9.5e-13, yet the product is the rational reduction of the counts
+        code, out, _ = run(capsys, "mc", "--w", "0.999999999999", "--c", "1e-150",
+                           "--shots", "100000000000000", "--seed", "1")
+        assert code == 0
+        assert "measured product = 1.94935886896e+144  stderr = 9.99999999998e+142" in out
 
     def test_overlap_next_to_one(self, capsys):
         code, out, _ = run(capsys, "mc", "--w", "0.7", "--c", str(1 - 1e-13), "--shots", "100")
@@ -400,6 +422,7 @@ ADVERSARIAL = [
 
 # the adversarial inputs that are valid but warn, and what they warn of
 ADVERSARIAL_WARNINGS = {
+    "state --w 1 --c 0.9999999999999999": (BOUNDARY,),
     "mc --plates 200 --shots 1000": (ROOT_COUNT, ZERO_MARGINAL),
     "mc --w 1 --c 1e-150 --shots 100": (ZERO_MARGINAL,),
     "mc --w 0.999999 --c 1e-150 --shots 100": (ZERO_MARGINAL,),
@@ -422,11 +445,12 @@ class TestAdversarialInputs:
         assert "Traceback" not in err
         if code != cli.EXIT_OK:
             assert "error" in err
+        return err
 
     @pytest.mark.parametrize("argv", ADVERSARIAL, ids=lambda argv: " ".join(argv)[:60])
     def test_flags(self, capsys, argv):
-        with expect_warnings(*ADVERSARIAL_WARNINGS.get(" ".join(argv), ())):
-            self.check(capsys, argv)
+        err = self.check(capsys, argv)
+        assert_warned(err, *ADVERSARIAL_WARNINGS.get(" ".join(argv), ()))
 
     def test_config_file_not_utf8(self, capsys, tmp_path):
         cfg = tmp_path / "run.cfg"

@@ -5,25 +5,18 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from simulmeas import experiment, protocol, qmath
-from simulmeas.errors import (
-    CalibrationInfeasibleError,
-    EmptyEnsembleError,
-    RescalingSingularError,
-    UsageError,
-)
+from simulmeas.errors import CalibrationInfeasibleError, RescalingSingularError, UsageError
 from simulmeas.experiment import (
     CoincidenceCounts,
     NoiseModel,
-    PolarizerConfig,
     calibrate_alpha,
     estimate_report,
     plate_transmittance,
     prepare,
-    report_from_probabilities,
     run_setting,
     sample_coincidences,
     stack_transmittance,
@@ -60,14 +53,55 @@ def closed_form_cw(alpha, t):
     return w, c
 
 
+def prepare_stack(plates, alpha, index=1.5):
+    """The state an N-plate stack at rotation alpha prepares."""
+    return prepare(stack_transmittance(plates, index), alpha)
+
+
 def optimality_residual(plates, alpha, index=1.5):
     """c - c_opt of the state the stack prepares at rotation alpha."""
-    st = prepare(PolarizerConfig.from_plates(plates, alpha, index))
+    st = prepare_stack(plates, alpha, index)
     return st.c - protocol.min_product(st.delta_a, st.delta_b)[1]
 
 
-def jones(cfg):
-    return qmath.polarizer_operator(cfg.alpha, cfg.t_p, cfg.t_s)
+def cells(counts):
+    """The four joint counts as an array, in `CoincidenceCounts` order."""
+    return np.array([counts.n_pp, counts.n_pm, counts.n_mp, counts.n_mm])
+
+
+def counts_at(p, shots):
+    """Counts round(p * shots) of the joint distribution p, as sampled data."""
+    n = [round(x * shots) for x in np.asarray(p, dtype=float).ravel().tolist()]
+    return CoincidenceCounts(*n, shots=sum(n), seed=0)
+
+
+@st.composite
+def count_cells(draw):
+    """Four counts: up to 10^15 a cell, or up to 2^63 - 1 shots, with few or
+    none in some cells, so one or both marginals can be nearly pure."""
+    cell = st.one_of(st.integers(0, 100), st.integers(0, 10 ** 15), st.integers(0, 2 ** 61))
+    n = draw(st.lists(cell, min_size=3, max_size=3))
+    n.append(draw(st.one_of(cell, st.just(2 ** 63 - 1 - sum(n)))))
+    n = draw(st.permutations(n))
+    assume(any(n))
+    return n
+
+
+def fraction_reduction(n, c):
+    """(product, stderr, delta_a', delta_b') of the counts n in rational
+    arithmetic: each count ratio is rounded once, when it meets c."""
+    shots = sum(n)
+    b, m = Fraction(n[0] + n[1], shots), Fraction(n[0] + n[2], shots)
+    b_var, m_var = b * (1 - b), m * (1 - m)
+    product = 4 / (c * math.sqrt(1 - c * c)) * math.sqrt(b_var * m_var)
+    if b_var and m_var:
+        u, v = (1 - 2 * b) / (2 * b_var), (1 - 2 * m) / (2 * m_var)
+        cov = Fraction(n[0], shots) - b * m
+        stderr = product * math.sqrt((u * u * b_var + v * v * m_var + 2 * u * v * cov) / shots)
+    else:
+        stderr = 0.0
+    return (product, stderr, 2 / math.sqrt(1 - c * c) * math.sqrt(m_var),
+            2 / c * math.sqrt(b_var))
 
 
 class TestSinglet:
@@ -85,8 +119,7 @@ class TestSinglet:
         assert c == pytest.approx(0.0, abs=1e-12)
         assert sign == -1
         # an isotropic filter keeps the singlet
-        st = prepare(PolarizerConfig(plate_count=1, refractive_index=1.5, alpha=0.3,
-                                     t_p=0.5, t_s=0.5))
+        st = prepare(1.0, 0.3)
         assert (st.w_a_plus, st.c, st.delta_a) == pytest.approx((0.5, 0.0, 1.0), abs=1e-15)
 
 
@@ -132,76 +165,62 @@ class TestPlateTransmittance:
 class TestPolarizerOperator:
     # the Jones operator of the amplitude-level reference
     def test_aligned_attenuates_minus_axis(self):
-        cfg = PolarizerConfig(plate_count=1, refractive_index=1.5, alpha=0.0,
-                              t_p=1.0, t_s=0.4)
-        np.testing.assert_allclose(jones(cfg), np.diag([1.0, 0.4]), atol=1e-15)
+        np.testing.assert_allclose(qmath.polarizer_operator(0.0, 0.4), np.diag([1.0, 0.4]),
+                                   atol=1e-15)
 
     def test_perfect_polarizer_is_projector(self):
-        cfg = PolarizerConfig(plate_count=1, refractive_index=1.5, alpha=math.pi / 4,
-                              t_p=1.0, t_s=0.0)
-        np.testing.assert_allclose(jones(cfg), np.full((2, 2), 0.5), atol=1e-15)
+        np.testing.assert_allclose(qmath.polarizer_operator(math.pi / 4, 0.0),
+                                   np.full((2, 2), 0.5), atol=1e-15)
 
     def test_explicit_rotation_sandwich(self):
-        cfg = PolarizerConfig(plate_count=1, refractive_index=1.5, alpha=math.pi / 6,
-                              t_p=1.0, t_s=0.5)
         expected = np.array([[0.875, 0.21650635094610965],
                              [0.21650635094610965, 0.625]])
-        np.testing.assert_allclose(jones(cfg), expected, atol=1e-15)
+        np.testing.assert_allclose(qmath.polarizer_operator(math.pi / 6, 0.5), expected,
+                                   atol=1e-15)
 
     def test_hermitian_with_transmittance_eigenvalues(self):
         rng = np.random.default_rng(21)
         for _ in range(50):
-            cfg = PolarizerConfig(plate_count=3, refractive_index=1.5,
-                                  alpha=rng.uniform(0, math.pi),
-                                  t_p=1.0, t_s=rng.uniform(0, 1))
-            op = jones(cfg)
+            alpha, t_s = rng.uniform(0, math.pi), rng.uniform(0, 1)
+            op = qmath.polarizer_operator(alpha, t_s)
             np.testing.assert_allclose(op, op.conj().T, rtol=0, atol=1e-15)
-            axis = np.array([math.cos(cfg.alpha), math.sin(cfg.alpha)])
-            np.testing.assert_allclose(op @ axis, cfg.t_p * axis, atol=1e-12)
+            axis = np.array([math.cos(alpha), math.sin(alpha)])
+            np.testing.assert_allclose(op @ axis, axis, atol=1e-12)
 
     def test_config_validation(self):
+        for t_s, alpha in ((-0.1, 0.0), (1.5, 0.0), (math.nan, 0.0),
+                           (0.5, math.inf), (0.5, math.nan)):
+            with pytest.raises(UsageError):
+                prepare(t_s, alpha)
         with pytest.raises(UsageError):
-            PolarizerConfig(plate_count=0, refractive_index=1.5, alpha=0.0)
-        with pytest.raises(UsageError):
-            PolarizerConfig(plate_count=1, refractive_index=1.5, alpha=0.0,
-                            t_p=0.5, t_s=0.7)
-        with pytest.raises(UsageError):
-            PolarizerConfig.from_plates(3, 0.1, refractive_index=0.9)
+            prepare_stack(3, 0.1, index=0.9)
 
 
-def reference_state(cfg):
+def reference_state(t_s, alpha):
     """(w, sign, c, yield, p) of the setting by the amplitude route."""
-    return qmath.prepared_joint(cfg.alpha, cfg.t_p, cfg.t_s)
+    return qmath.prepared_joint(alpha, t_s)
 
 
 class TestPrepare:
     def test_aligned_polarizer_biases_w_only(self):
         for t in (0.2, 0.5, 0.9):
-            cfg = PolarizerConfig(plate_count=1, refractive_index=1.5, alpha=0.0,
-                                  t_p=1.0, t_s=t)
-            prep = prepare(cfg)
+            prep = prepare(t, 0.0)
             assert prep.c <= 1e-12
             assert prep.w_a_plus == pytest.approx(1 / (1 + t * t), abs=1e-10)
             assert prep.w_a_plus > 0.5
 
     def test_perfect_diagonal_polarizer_entangles_nothing(self):
-        cfg = PolarizerConfig(plate_count=1, refractive_index=1.5, alpha=math.pi / 4,
-                              t_p=1.0, t_s=0.0)
-        prep = prepare(cfg)
+        prep = prepare(0.0, math.pi / 4)
         assert prep.c >= 1 - 1e-10
         assert prep.w_a_plus == pytest.approx(0.5, abs=1e-10)
 
     def test_perfect_aligned_polarizer_is_an_a_eigenstate(self):
-        cfg = PolarizerConfig(plate_count=1, refractive_index=1.5, alpha=0.0,
-                              t_p=1.0, t_s=0.0)
-        prep = prepare(cfg)
+        prep = prepare(0.0, 0.0)
         assert (prep.w_a_plus, prep.c, prep.delta_a) == (1.0, 1.0, 0.0)
-        assert reference_state(cfg)[:3] == (1.0, 1, 1.0)
+        assert reference_state(0.0, 0.0)[:3] == (1.0, 1, 1.0)
 
     def test_general_setting_matches_closed_form(self):
-        cfg = PolarizerConfig(plate_count=1, refractive_index=1.5, alpha=math.pi / 8,
-                              t_p=1.0, t_s=0.3)
-        prep = prepare(cfg)
+        prep = prepare(0.3, math.pi / 8)
         w, c = closed_form_cw(math.pi / 8, 0.3)
         assert w == pytest.approx(0.7951684270090633, abs=1e-12)
         assert c == pytest.approx(0.7313779906865137, abs=1e-12)
@@ -211,17 +230,17 @@ class TestPrepare:
     def test_yield_is_rotation_invariant(self):
         t = plate_transmittance(1.5) ** 8
         expected = (1 + t * t) / 2
-        for alpha in np.linspace(0, math.pi / 2, 101):
-            cfg = PolarizerConfig.from_plates(8, float(alpha))
-            assert prepare(cfg).success_probability == pytest.approx(expected, abs=1e-10)
-            assert reference_state(cfg)[3] == pytest.approx(expected, abs=1e-10)
+        for alpha in np.linspace(0, math.pi / 2, 101).tolist():
+            assert prepare(t, alpha).success_probability == pytest.approx(expected, abs=1e-10)
+            assert reference_state(t, alpha)[3] == pytest.approx(expected, abs=1e-10)
 
     def test_state_consistent_with_decomposition(self):
         rng = np.random.default_rng(22)
+        t = stack_transmittance(7, 1.5)
         for _ in range(50):
-            cfg = PolarizerConfig.from_plates(7, rng.uniform(0.01, math.pi / 4))
-            prep = prepare(cfg)
-            w, sign, c, _, p = reference_state(cfg)
+            alpha = rng.uniform(0.01, math.pi / 4)
+            prep = prepare(t, alpha)
+            w, sign, c, _, p = reference_state(t, alpha)
             assert (prep.w_a_plus, prep.c) == pytest.approx((w, c), abs=1e-14)
             assert prep.y == pytest.approx(sign * 2 * math.sqrt(w * (1 - w)), abs=1e-12)
             assert prep.x == pytest.approx(2 * w - 1, abs=1e-14)
@@ -231,10 +250,8 @@ class TestPrepare:
     @settings(max_examples=400, deadline=None)
     @given(alpha=st.floats(-math.pi, math.pi), t_s=st.floats(0, 1))
     def test_matches_the_amplitude_route(self, alpha, t_s):
-        cfg = PolarizerConfig(plate_count=1, refractive_index=1.5, alpha=alpha,
-                              t_p=1.0, t_s=t_s)
-        prep = prepare(cfg)
-        w, sign, c, p_ok, p = reference_state(cfg)
+        prep = prepare(t_s, alpha)
+        w, sign, c, p_ok, p = reference_state(t_s, alpha)
         assert prep.success_probability == pytest.approx(p_ok, rel=4 * sys.float_info.epsilon)
         assert prep.w_a_plus == pytest.approx(w, abs=1e-15)
         assert prep.x == pytest.approx(2 * w - 1, abs=1e-15)
@@ -258,17 +275,9 @@ class TestPrepare:
         t = plate_transmittance(1.5) ** 7
         cws = np.array([
             (prep.c, prep.w_a_plus)
-            for prep in (prepare(PolarizerConfig(plate_count=7, refractive_index=1.5,
-                                                 alpha=float(a), t_p=1.0, t_s=t))
-                         for a in alphas)])
+            for prep in (prepare(t, float(a)) for a in alphas)])
         steps = np.abs(np.diff(cws, axis=0))
         assert steps.max() < 1e-3
-
-    def test_blocked_polarizer(self):
-        cfg = PolarizerConfig(plate_count=1, refractive_index=1.5, alpha=0.3,
-                              t_p=0.0, t_s=0.0)
-        with pytest.raises(EmptyEnsembleError):
-            prepare(cfg)
 
 
 class TestCalibrateAlpha:
@@ -278,7 +287,7 @@ class TestCalibrateAlpha:
             assert len(roots) == 2
             assert roots == sorted(roots)
             for alpha in roots:
-                st = prepare(PolarizerConfig.from_plates(plates, alpha))
+                st = prepare_stack(plates, alpha)
                 delta_a, delta_b = st.delta_a, st.delta_b
                 _, c_opt = protocol.min_product(delta_a, delta_b)
                 assert abs(st.c - c_opt) < 1e-8
@@ -365,7 +374,7 @@ class TestSampling:
         shots = 10 ** 6
         sigma = math.sqrt(shots * 3 / 16)
         counts = sample_coincidences([0.25] * 4, shots=shots, seed=10)
-        for n in counts.as_array():
+        for n in cells(counts):
             assert abs(n - shots / 4) < 5 * sigma
 
     def test_zero_visibility_flattens_any_distribution(self):
@@ -373,7 +382,7 @@ class TestSampling:
         sigma = math.sqrt(shots * 3 / 16)
         counts = sample_coincidences([0.9, 0.1, 0, 0], shots=shots, seed=11,
                                      noise=NoiseModel(0.0))
-        for n in counts.as_array():
+        for n in cells(counts):
             assert abs(n - shots / 4) < 5 * sigma
 
     def test_same_seed_same_counts(self):
@@ -391,7 +400,7 @@ class TestSampling:
         noise = NoiseModel(0.9)
         expected = noise.apply(p) * 20000
         for seed in range(100):
-            observed = sample_coincidences(p, shots=20000, seed=seed, noise=noise).as_array()
+            observed = cells(sample_coincidences(p, shots=20000, seed=seed, noise=noise))
             chi2 = ((observed - expected) ** 2 / expected).sum()
             assert chi2 < CHI2_CRIT_3DF
 
@@ -407,13 +416,29 @@ class TestSampling:
         with pytest.raises(UsageError):
             CoincidenceCounts(n_pp=1, n_pm=1, n_mp=1, n_mm=1, shots=5, seed=0)
 
+    @pytest.mark.parametrize("counts, shots", [
+        ((2.5, 2.5, 2.5, 2.5), 10), ((2.0, 3, 3, 2), 10), ((2, 3, 3, 2), 10.0),
+        ((np.float64(5), 5, 0, 0), 10), (("5", 5, 0, 0), 10)])
+    def test_counts_must_be_integers(self, counts, shots):
+        with pytest.raises(UsageError, match="integers"):
+            CoincidenceCounts(*counts, shots=shots, seed=0)
+
+    def test_numpy_integer_counts_become_python_integers(self):
+        # products of four counts overflow int64; the stored counts must not
+        n = np.array([3 * 10 ** 15, 2 * 10 ** 15, 10 ** 15, 4 * 10 ** 15], dtype=np.int64)
+        counts = CoincidenceCounts(*n, shots=n.sum(), seed=0)
+        assert [type(getattr(counts, f)) for f in ("n_pp", "n_pm", "n_mp", "n_mm", "shots")] \
+            == [int] * 5
+        assert estimate_report(counts, 0.5) == estimate_report(
+            CoincidenceCounts(*n.tolist(), shots=int(n.sum()), seed=0), 0.5)
+
 
 class TestEstimateReport:
     def test_plug_in_consistency(self):
-        # feeding exact probabilities must reproduce the analytic product
+        # counts at the exact probabilities must reproduce the analytic product
         w, c = 0.75, 0.6
-        p = protocol.joint_distribution(*bloch(w), c).ravel()
-        report = report_from_probabilities(p, shots=10 ** 6, c_measured=c)
+        p = protocol.joint_distribution(*bloch(w), c)
+        report = estimate_report(counts_at(p, 10 ** 15), c)
         delta_a, delta_b = protocol.sharp_deltas(w)
         assert report.product_simultaneous == pytest.approx(
             protocol.unsharp_product(delta_a, delta_b, c), abs=1e-9)
@@ -430,10 +455,9 @@ class TestEstimateReport:
 
     def test_noise_inflates_product(self):
         w, c = 0.75, 0.6
-        p = protocol.joint_distribution(*bloch(w), c).ravel()
-        clean = report_from_probabilities(p, shots=10 ** 6, c_measured=c)
-        noisy = report_from_probabilities(NoiseModel(0.95).apply(p), shots=10 ** 6,
-                                          c_measured=c)
+        p = protocol.joint_distribution(*bloch(w), c)
+        clean = estimate_report(counts_at(p, 10 ** 15), c)
+        noisy = estimate_report(counts_at(NoiseModel(0.95).apply(p), 10 ** 15), c)
         assert noisy.product_simultaneous > clean.product_simultaneous
 
     def test_degenerate_marginal_warns_but_reports(self):
@@ -450,54 +474,33 @@ class TestEstimateReport:
 
     @pytest.mark.filterwarnings("ignore:a marginal has zero weight")
     @settings(max_examples=400, deadline=None)
-    @given(n=st.lists(st.integers(0, 10 ** 15), min_size=4, max_size=4).filter(any),
-           c=st.floats(1e-150, 1 - 1e-12))
-    def test_stderr_matches_the_absolute_gradient_form(self, n, c):
-        # the delta method with the gradient of the product itself squares
-        # product/(2 var) * (1 - 2 p); wherever that stays finite, the
-        # relative-gradient form in the library must agree with it to 1e-12
-        # of the terms the variance sums (they cancel where the two
-        # marginals move together, e.g. n = (0, k, k, 1))
-        shots = sum(n)
-        probs = np.array(n, dtype=float) / shots
-        report = report_from_probabilities(probs, shots, c)
-        b_plus, m_plus = float(probs[0] + probs[1]), float(probs[0] + probs[2])
-        b_var, m_var = b_plus * (1 - b_plus), m_plus * (1 - m_plus)
-        if not (b_var > 0 and m_var > 0):
-            assert report.product_stderr == 0.0
-            return
-        product = report.product_simultaneous
-        try:
-            k_b = product / (2 * b_var) * (1 - 2 * b_plus)
-            k_m = product / (2 * m_var) * (1 - 2 * m_plus)
-            cov = (float(probs[0]) - b_plus * m_plus) / shots
-            terms = (k_b ** 2 * b_var / shots, k_m ** 2 * m_var / shots, 2 * k_b * k_m * cov)
-        except OverflowError:
-            return
-        assert report.product_stderr ** 2 == pytest.approx(
-            max(sum(terms), 0.0), rel=0, abs=1e-12 * sum(map(abs, terms)))
+    @given(n=count_cells(), c=st.floats(1e-150, 1 - 1e-12))
+    def test_matches_the_fraction_reduction(self, n, c):
+        report = estimate_report(CoincidenceCounts(*n, shots=sum(n), seed=0), c)
+        expected = fraction_reduction(n, c)
+        got = (report.product_simultaneous, report.product_stderr,
+               report.delta_a_prime, report.delta_b_prime)
+        assert got == pytest.approx(expected, rel=4 * sys.float_info.epsilon, abs=0)
 
     def test_stderr_finite_where_the_gradient_squares_overflow(self):
         # mc --w 0.999999999999 --c 1e-150 --shots 1e14 --seed 1: a product
-        # near 2e144 with a nearly pure probe marginal
+        # near 2e144 with a nearly pure probe marginal (1 - m_plus is 9.5e-13)
         n = (49999997003731, 43, 50000002996174, 52)
         shots, c = sum(n), 1e-150
         report = estimate_report(CoincidenceCounts(*n, shots=shots, seed=1), c)
-        # exact delta method on the counts; the float marginal 1 - m_plus
-        # keeps about four digits (it is 9.5e-13), so compare to 1e-3
+        # the exact delta method on the counts, rounded once
         b, m = Fraction(n[0] + n[1], shots), Fraction(n[0] + n[2], shots)
         u, v = (1 - 2 * b) / (2 * b * (1 - b)), (1 - 2 * m) / (2 * m * (1 - m))
         cov = Fraction(n[0], shots) - b * m
         rel_var = (u * u * b * (1 - b) + v * v * m * (1 - m) + 2 * u * v * cov) / shots
-        assert math.isfinite(report.product_stderr)
-        assert report.product_stderr == pytest.approx(
-            report.product_simultaneous * math.sqrt(rel_var), rel=1e-3)
+        assert report.product_simultaneous == 1.9493588689608633e+144
+        assert report.product_stderr == report.product_simultaneous * math.sqrt(rel_var)
 
 
 class TestRunSetting:
     def test_calibrated_setting_hits_the_floor(self):
         alpha = calibrate_alpha(10)[0]
-        st = prepare(PolarizerConfig.from_plates(10, alpha))
+        st = prepare_stack(10, alpha)
         _, report = run_setting(st.x, st.y, st.c, shots=10 ** 6, seed=77)
         target = 1 + st.delta_a * st.delta_b
         z = abs(report.product_simultaneous - target) / report.product_stderr
@@ -505,13 +508,13 @@ class TestRunSetting:
         assert report.c_used == st.c
 
     def test_aligned_setting_is_singular(self):
-        st = prepare(PolarizerConfig.from_plates(8, 0.0))
+        st = prepare_stack(8, 0.0)
         with pytest.raises(RescalingSingularError):
             run_setting(st.x, st.y, st.c, shots=100, seed=1)
 
     def test_determinism(self):
         alpha = calibrate_alpha(10)[1]
-        st = prepare(PolarizerConfig.from_plates(10, alpha))
+        st = prepare_stack(10, alpha)
         a = run_setting(st.x, st.y, st.c, shots=10 ** 5, seed=4242)
         b = run_setting(st.x, st.y, st.c, shots=10 ** 5, seed=4242)
         assert a == b

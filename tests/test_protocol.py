@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from simulmeas import protocol, qmath
 from simulmeas.errors import RescalingSingularError, UsageError
-from simulmeas.experiment import report_from_probabilities
+from simulmeas.experiment import CoincidenceCounts
 from simulmeas.protocol import (
     joint_distribution,
     make_equatorial,
@@ -319,7 +319,7 @@ class TestInferredMeans:
 
     def test_rejects_non_distribution(self):
         with pytest.raises(UsageError):
-            report_from_probabilities([0.5, 0.5, 0.5, 0.5], shots=10, c_measured=0.5)
+            CoincidenceCounts(5, 5, 5, 5, shots=10, seed=0)
 
 
 class TestUnsharpUncertainties:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from simulmeas import qmath
-from simulmeas.errors import EmptyEnsembleError, UsageError
+from simulmeas.errors import UsageError
 
 
 def random_state(rng, dim):
@@ -110,11 +110,9 @@ class TestReferenceChain:
             assert qmath.inner(m_plus, m_minus).real == pytest.approx(c, abs=1e-15)
 
     def test_post_select_yield(self):
-        state, p_ok = qmath.post_select(0.4, 1.0, 0.3)
+        state, p_ok = qmath.post_select(0.4, 0.3)
         assert p_ok == pytest.approx((1 + 0.3 ** 2) / 2, abs=1e-15)
         assert qmath.norm(state) == pytest.approx(1.0, abs=1e-15)
-        with pytest.raises(EmptyEnsembleError):
-            qmath.post_select(0.4, 0.0, 0.0)
 
     def test_joint_probabilities_close(self):
         rng = np.random.default_rng(9)
