@@ -17,8 +17,8 @@ from .errors import (
 )
 from .experiment import (
     CoincidenceCounts,
-    NoiseModel,
     PreparedState,
+    UncertaintyReport,
     calibrate_alpha,
     estimate_report,
     plate_transmittance,
@@ -30,7 +30,6 @@ from .experiment import (
 from .protocol import (
     EquatorialState,
     ScanResult,
-    UncertaintyReport,
     VonNeumannCounterexample,
     joint_distribution,
     make_equatorial,

@@ -10,7 +10,8 @@ mc         seeded coincidence-counting simulation of one setting
 All output is deterministic for a fixed configuration (including the seed).
 CSV numbers carry 12 significant digits; divergent values (the maximum
 product at the sweep endpoints) print as ``inf`` in CSV and ``null`` in
-JSON. A key-value config file can pin defaults; explicit flags win.
+JSON. A key-value config file can pin defaults; explicit flags win. Every
+subcommand reads and validates it, even one that uses none of its keys.
 
 Warnings a subcommand raises print as ``warning: <message>`` lines on stderr.
 
@@ -198,7 +199,7 @@ def _append_point(path: str | None, fmt: str, point: dict):
 # --------------------------------------------------------------------------
 # subcommands
 
-def cmd_state(args) -> int:
+def cmd_state(args, cfg: RunConfig) -> int:
     sign = +1 if args.sign == "+" else -1
     s = protocol.make_equatorial(args.w, sign)
     pa = protocol.sharp_probabilities(s, "A")
@@ -228,16 +229,14 @@ def cmd_state(args) -> int:
     return EXIT_OK
 
 
-def cmd_sweep(args) -> int:
-    cfg = merge_config(args)
+def cmd_sweep(args, cfg: RunConfig) -> int:
     columns = sweep_columns(_sweep_grid(cfg.grid, args.full_range))
     text = render_sweep_json(columns) if cfg.format == "json" else render_sweep_csv(columns)
     _write_text(cfg.out, text)
     return EXIT_OK
 
 
-def cmd_calibrate(args) -> int:
-    cfg = merge_config(args)
+def cmd_calibrate(args, cfg: RunConfig) -> int:
     t_s = experiment.stack_transmittance(args.plates, cfg.index)
     print(f"plates = {args.plates}  index = {_fmt(cfg.index)}  t_s = {_fmt(t_s)}")
     roots = experiment.calibrate_alpha(args.plates, cfg.index)
@@ -253,14 +252,16 @@ def cmd_calibrate(args) -> int:
 
 def _resolve_mc_setting(args, cfg: RunConfig) -> tuple[float, float, float, float]:
     """(w, c, x, y) of the setting to sample: a calibrated stack or an explicit point."""
+    if (args.plates is not None or args.root is not None) and (
+            args.w is not None or args.c is not None):
+        raise UsageError("give either --plates/--root or --w/--c, not both")
     if args.plates is not None:
-        if args.w is not None or args.c is not None:
-            raise UsageError("give either --plates/--root or --w/--c, not both")
+        root = 1 if args.root is None else args.root
         t_s = experiment.stack_transmittance(args.plates, cfg.index)
         roots = experiment.calibrate_alpha(args.plates, cfg.index)
-        if not 1 <= args.root <= len(roots):
+        if not 1 <= root <= len(roots):
             raise UsageError(f"--root must be in 1..{len(roots)} for {args.plates} plates")
-        st = experiment.prepare(t_s, roots[args.root - 1])
+        st = experiment.prepare(t_s, roots[root - 1])
         return st.w_a_plus, st.c, st.x, st.y
     if args.w is None or args.c is None:
         raise UsageError("mc needs either --plates (with --root) or both --w and --c")
@@ -268,24 +269,24 @@ def _resolve_mc_setting(args, cfg: RunConfig) -> tuple[float, float, float, floa
     return args.w, args.c, 2.0 * args.w - 1.0, delta_a
 
 
-def cmd_mc(args) -> int:
-    cfg = merge_config(args)
+def cmd_mc(args, cfg: RunConfig) -> int:
     if cfg.seed < 0:
         raise UsageError(f"seed must be a non-negative integer, got {cfg.seed}")
     if not 1 <= cfg.shots <= MAX_SHOTS:
         raise UsageError(f"shots must be in 1..{MAX_SHOTS}, got {cfg.shots}")
     w, c, x, y = _resolve_mc_setting(args, cfg)
-    noise = experiment.NoiseModel(visibility=cfg.visibility)
     # checked in a fixed order, visibility, c, w, so an input with several
     # faults always gets the same exit code
+    if not 0.0 <= cfg.visibility <= 1.0:
+        raise UsageError(f"visibility must be in [0, 1], got {cfg.visibility}")
     protocol.probe_noise(c)
     protocol.make_equatorial(w)
-    counts, report = experiment.run_setting(x, y, c, cfg.shots, cfg.seed, noise)
+    counts, report = experiment.run_setting(x, y, c, cfg.shots, cfg.seed, cfg.visibility)
 
     delta_a, delta_b = abs(y), abs(x)
     analytic = protocol.unsharp_product(delta_a, delta_b, c)
-    print(f"setting: w_a_plus = {_fmt(w)}  c = {_fmt(c)}  shots = {counts.shots}  "
-          f"seed = {counts.seed}  visibility = {_fmt(cfg.visibility)}")
+    print(f"setting: w_a_plus = {_fmt(w)}  c = {_fmt(c)}  shots = {cfg.shots}  "
+          f"seed = {cfg.seed}  visibility = {_fmt(cfg.visibility)}")
     print(f"counts: (B+,M+) {counts.n_pp}  (B+,M-) {counts.n_pm}  "
           f"(B-,M+) {counts.n_mp}  (B-,M-) {counts.n_mm}")
     print(f"measured product = {_fmt(report.product_simultaneous)}  "
@@ -293,7 +294,7 @@ def cmd_mc(args) -> int:
     print(f"analytic product = {_fmt(analytic)}  "
           f"minimum possible = {_fmt(1.0 + delta_a * delta_b)}")
     _append_point(cfg.out, cfg.format, {
-        "w_a_plus": w, "c_used": c, "shots": counts.shots, "seed": counts.seed,
+        "w_a_plus": w, "c_used": c, "shots": cfg.shots, "seed": cfg.seed,
         "visibility": cfg.visibility,
         "product_measured": report.product_simultaneous,
         "product_stderr": report.product_stderr,
@@ -336,8 +337,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_mc = sub.add_parser("mc", help="Monte Carlo coincidence run of one setting")
     p_mc.add_argument("--plates", type=int, default=None)
-    p_mc.add_argument("--root", type=int, default=1,
-                      help="which calibrated rotation to use (1 or 2)")
+    p_mc.add_argument("--root", type=int, default=None,
+                      help="which calibrated rotation of --plates to use (1 or 2, default 1)")
     p_mc.add_argument("--w", type=float, default=None, help="explicit w_a_plus")
     p_mc.add_argument("--c", type=float, default=None, help="explicit overlap")
     p_mc.add_argument("--shots", type=int, default=None)
@@ -363,7 +364,7 @@ def main(argv=None) -> int:
         warnings.simplefilter("always")
         warnings.showwarning = _print_warning
         try:
-            return args.func(args)
+            return args.func(args, merge_config(args))
         except UsageError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return EXIT_USAGE

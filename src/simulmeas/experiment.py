@@ -17,12 +17,13 @@ product, and `calibrate_alpha` finds them.
 Coincidence counting is modeled as seeded multinomial sampling over the four
 joint outcomes of `protocol.joint_distribution`, with an optional
 visibility knob mixing in a uniform background to mimic imperfect state
-purity. `estimate_report` rebuilds the uncertainty product from the
-integer counts the way the measured data would be processed: empirical
-marginals, rescaled two-point distributions, then standard deviations. The
-count ratios in the product and in its delta-method variance are each
-rounded once, so the estimate keeps full precision for any counts up to
-the sampler's 2^63 - 1 shots, nearly pure marginals included.
+purity. `estimate_report` reduces the integer counts the way the measured
+data would be processed: empirical marginals, rescaled two-point
+distributions, then standard deviations. It returns the inferred
+uncertainties and their product with its delta-method standard error. The
+count ratios in the product and in its variance are each rounded once, so
+the estimate keeps full precision for any counts up to the sampler's
+2^63 - 1 shots, nearly pure marginals included.
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ from .errors import CalibrationInfeasibleError, UsageError
 __all__ = [
     "PreparedState",
     "CoincidenceCounts",
-    "NoiseModel",
+    "UncertaintyReport",
     "plate_transmittance",
     "stack_transmittance",
     "prepare",
@@ -249,50 +250,41 @@ def calibrate_alpha(plate_count: int,
 # coincidence sampling and estimation
 
 @dataclass(frozen=True)
-class NoiseModel:
-    """Outcome-level noise: mix the ideal distribution with a uniform floor."""
-
-    visibility: float = 1.0
-
-    def __post_init__(self):
-        if not 0.0 <= self.visibility <= 1.0:
-            raise UsageError(f"visibility must be in [0, 1], got {self.visibility}")
-
-    def apply(self, p: np.ndarray) -> np.ndarray:
-        return self.visibility * p + (1.0 - self.visibility) / 4.0
-
-
-@dataclass(frozen=True)
 class CoincidenceCounts:
     """Joint outcome counts, ordered (B+,M+), (B+,M-), (B-,M+), (B-,M-).
 
-    Counts and shots are stored as Python integers (numpy integers are
-    accepted), so the estimate's integer arithmetic never overflows.
+    Counts are stored as Python integers (numpy integers are accepted), so
+    the estimate's integer arithmetic never overflows; ``shots`` is their sum.
     """
 
     n_pp: int
     n_pm: int
     n_mp: int
     n_mm: int
-    shots: int
-    seed: int
 
     def __post_init__(self):
         try:
-            for name in ("n_pp", "n_pm", "n_mp", "n_mm", "shots"):
+            for name in ("n_pp", "n_pm", "n_mp", "n_mm"):
                 object.__setattr__(self, name, operator.index(getattr(self, name)))
         except TypeError:
-            raise UsageError("counts and shots must be integers") from None
-        counts = (self.n_pp, self.n_pm, self.n_mp, self.n_mm)
-        if any(n < 0 for n in counts):
+            raise UsageError("counts must be integers") from None
+        if min(self.n_pp, self.n_pm, self.n_mp, self.n_mm) < 0:
             raise UsageError("counts must be non-negative")
-        if sum(counts) != self.shots or self.shots <= 0:
-            raise UsageError(f"counts sum to {sum(counts)}, shots = {self.shots}")
+        if self.shots == 0:
+            raise UsageError("counts sum to 0")
+
+    @property
+    def shots(self) -> int:
+        return self.n_pp + self.n_pm + self.n_mp + self.n_mm
 
 
 def sample_coincidences(p, shots: int, seed: int,
-                        noise: NoiseModel = NoiseModel()) -> CoincidenceCounts:
-    """Draw seeded multinomial coincidence counts from the joint distribution."""
+                        visibility: float = 1.0) -> CoincidenceCounts:
+    """Draw seeded multinomial coincidence counts from the joint distribution.
+
+    A visibility V below 1 mixes the distribution with a uniform floor,
+    V p + (1 - V)/4, to mimic imperfect state purity.
+    """
     probs = np.asarray(p, dtype=float).ravel()
     if probs.shape != (4,):
         raise UsageError(f"expected 4 joint probabilities, got shape {probs.shape}")
@@ -300,13 +292,29 @@ def sample_coincidences(p, shots: int, seed: int,
         raise UsageError(f"not a probability distribution: {probs} (sum {probs.sum():.12g})")
     if shots < 1:
         raise UsageError(f"shots must be >= 1, got {shots}")
-    mixed = noise.apply(np.clip(probs, 0.0, None))
+    if not 0.0 <= visibility <= 1.0:
+        raise UsageError(f"visibility must be in [0, 1], got {visibility}")
+    mixed = visibility * np.clip(probs, 0.0, None) + (1.0 - visibility) / 4.0
     mixed = mixed / mixed.sum()
     counts = np.random.default_rng(seed).multinomial(int(shots), mixed)
-    return CoincidenceCounts(*counts.tolist(), shots=int(shots), seed=int(seed))
+    return CoincidenceCounts(*counts.tolist())
 
 
-def estimate_report(counts: CoincidenceCounts, c_measured: float) -> protocol.UncertaintyReport:
+@dataclass(frozen=True)
+class UncertaintyReport:
+    """Inferred normalized uncertainties estimated from sampled counts.
+
+    ``product_stderr`` is the delta-method standard error of the
+    simultaneous product ``delta_a_prime * delta_b_prime``.
+    """
+
+    delta_a_prime: float
+    delta_b_prime: float
+    product_simultaneous: float
+    product_stderr: float
+
+
+def estimate_report(counts: CoincidenceCounts, c_measured: float) -> UncertaintyReport:
     """Reduce raw coincidence counts to an uncertainty report.
 
     The object's B+ marginal (n_b+ = n_pp + n_pm of N shots) and the probe's
@@ -324,11 +332,10 @@ def estimate_report(counts: CoincidenceCounts, c_measured: float) -> protocol.Un
         / (4 n_b+ n_b- n_m+ n_m- N).
 
     Each count ratio is one correctly rounded division of integers, so a
-    nearly pure marginal keeps full precision. The sharp uncertainties are
-    recovered by inverting the closed forms (clamped at zero).
+    nearly pure marginal keeps full precision.
     """
     c = float(c_measured)
-    noise_a, noise_b = protocol.probe_noise(c)
+    protocol.probe_noise(c)  # a singular overlap cannot be rescaled
     n = counts.shots
     b_plus, m_plus = counts.n_pp + counts.n_pm, counts.n_pp + counts.n_mp
     b_minus, m_minus = n - b_plus, n - m_plus
@@ -341,9 +348,6 @@ def estimate_report(counts: CoincidenceCounts, c_measured: float) -> protocol.Un
     da_prime = 2.0 / math.sqrt(1.0 - c * c) * math.sqrt(m_var / (n * n))
     product = 4.0 / (c * math.sqrt(1.0 - c * c)) * math.sqrt(b_var * m_var / n ** 4)
 
-    delta_a = math.sqrt(max(da_prime ** 2 - noise_a, 0.0))
-    delta_b = math.sqrt(max(db_prime ** 2 - noise_b, 0.0))
-
     if b_var and m_var:
         u, v = b_minus - b_plus, m_minus - m_plus
         rel_var = ((u * u * m_var + v * v * b_var
@@ -353,18 +357,12 @@ def estimate_report(counts: CoincidenceCounts, c_measured: float) -> protocol.Un
     else:
         stderr = 0.0
 
-    return protocol.UncertaintyReport(
-        delta_a=delta_a, delta_b=delta_b,
-        delta_a_prime=da_prime, delta_b_prime=db_prime,
-        product_sharp=delta_a * delta_b,
-        product_simultaneous=product,
-        c_used=c, product_stderr=stderr,
-    )
+    return UncertaintyReport(delta_a_prime=da_prime, delta_b_prime=db_prime,
+                             product_simultaneous=product, product_stderr=stderr)
 
 
 def run_setting(x: float, y: float, c: float, shots: int, seed: int,
-                noise: NoiseModel = NoiseModel()
-                ) -> tuple[CoincidenceCounts, protocol.UncertaintyReport]:
+                visibility: float = 1.0) -> tuple[CoincidenceCounts, UncertaintyReport]:
     """Simulate a coincidence run at Bloch components (x, y) and overlap c.
 
     Samples `protocol.joint_distribution(x, y, c)` and reduces the counts
@@ -372,5 +370,5 @@ def run_setting(x: float, y: float, c: float, shots: int, seed: int,
     one. Works for object eigenstates (x = +-1) too.
     """
     protocol.probe_noise(c)  # a singular overlap cannot be rescaled
-    counts = sample_coincidences(protocol.joint_distribution(x, y, c), shots, seed, noise)
+    counts = sample_coincidences(protocol.joint_distribution(x, y, c), shots, seed, visibility)
     return counts, estimate_report(counts, c)

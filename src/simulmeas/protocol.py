@@ -51,7 +51,6 @@ from .errors import RescalingSingularError, UsageError
 
 __all__ = [
     "EquatorialState",
-    "UncertaintyReport",
     "ScanResult",
     "VonNeumannCounterexample",
     "make_equatorial",
@@ -91,34 +90,6 @@ class EquatorialState:
 
 
 @dataclass(frozen=True)
-class UncertaintyReport:
-    """Sharp and inferred normalized uncertainties estimated from sampled counts.
-
-    ``product_stderr`` is the delta-method standard error of the
-    simultaneous product. The estimate can fall below 1 + delta_a*delta_b
-    when a sampled sharp uncertainty is clamped at zero; that is sampling
-    noise, so it is not checked here.
-    """
-
-    delta_a: float
-    delta_b: float
-    delta_a_prime: float
-    delta_b_prime: float
-    product_sharp: float
-    product_simultaneous: float
-    c_used: float
-    product_stderr: float
-
-    def __post_init__(self):
-        for name in ("delta_a", "delta_b", "delta_a_prime", "delta_b_prime"):
-            v = getattr(self, name)
-            if not (math.isfinite(v) and v >= 0.0):
-                raise UsageError(f"{name} must be finite and non-negative, got {v}")
-        if not 0.0 < self.c_used < 1.0:
-            raise UsageError(f"c_used must be in (0, 1), got {self.c_used}")
-
-
-@dataclass(frozen=True)
 class ScanResult:
     """Outcome of the brute-force overlap scan."""
 
@@ -133,7 +104,6 @@ class VonNeumannCounterexample:
 
     state_q: EquatorialState
     state_minus_q: EquatorialState
-    outcome_probabilities: tuple
     mean_gap_a: float
     mean_gap_b: float
 
@@ -333,6 +303,5 @@ def von_neumann_counterexample(measurement_axis) -> VonNeumannCounterexample:
     return VonNeumannCounterexample(
         state_q=_equatorial_from_bloch(q_a, q_b),
         state_minus_q=_equatorial_from_bloch(-q_a, -q_b),
-        outcome_probabilities=(0.5, 0.5),
         mean_gap_a=2.0 * abs(q_a), mean_gap_b=2.0 * abs(q_b),
     )

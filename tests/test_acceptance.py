@@ -20,7 +20,7 @@ import pytest
 
 from simulmeas import cli, experiment, protocol
 from simulmeas.errors import CalibrationInfeasibleError
-from simulmeas.experiment import NoiseModel, calibrate_alpha, run_setting, stack_transmittance
+from simulmeas.experiment import calibrate_alpha, run_setting, stack_transmittance
 
 PLATE_COUNTS = (7, 8, 10)
 INDEX = 1.5
@@ -229,7 +229,7 @@ def test_criterion_09_noise_direction():
     for plates, alpha in settings:
         st = experiment.prepare(stack_transmittance(plates, INDEX), alpha)
         _, report = run_setting(st.x, st.y, st.c, shots=10 ** 6, seed=NOISE_SEED,
-                                noise=NoiseModel(visibility=0.95))
+                                visibility=0.95)
         clean = protocol.unsharp_product(st.delta_a, st.delta_b, st.c)
         above.append(report.product_simultaneous > clean)
     ok = all(above) and len(above) == 6

@@ -335,13 +335,20 @@ class TestMcCommand:
         code, _, _ = run(capsys, "mc", "--plates", "10", "--w", "0.7", "--c", "0.5")
         assert code == cli.EXIT_USAGE
 
+    def test_root_needs_plates(self, capsys):
+        code, out, err = run(capsys, "mc", "--w", "0.75", "--c", "0.7", "--root", "2",
+                             "--shots", "100", "--seed", "1")
+        assert code == cli.EXIT_USAGE
+        assert out == ""
+        assert err == "error: give either --plates/--root or --w/--c, not both\n"
+
     @pytest.mark.parametrize("argv", [
         ["--w", "0.5", "--c", "0.9", "--shots", "1000", "--seed", "9"],
         ["--plates", "24", "--index", "1.55", "--root", "1", "--shots", "1000", "--seed", "2"],
     ])
     def test_sampled_product_below_floor_is_reported(self, capsys, argv):
-        # these draws clamp a sampled sharp uncertainty at 0, which puts the
-        # estimate below 1 + delta_a*delta_b; that is noise, not a usage error
+        # these draws put the estimate below 1 + delta_a*delta_b; that is
+        # sampling noise, not a usage error
         code, out, err = run(capsys, "mc", *argv, "--visibility", "1")
         assert code == 0, err
         assert "measured product" in out
@@ -384,6 +391,20 @@ class TestConfigFile:
         assert code == cli.EXIT_USAGE
         assert "unknown config key" in err
 
+    # state uses no config key, but a broken file is still an error
+    def test_state_rejects_an_unknown_key(self, capsys, tmp_path):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text("sede = 7\n")
+        code, out, err = run(capsys, "--config", str(cfg), "state", "--w", "0.5", "--c", "0.5")
+        assert code == cli.EXIT_USAGE
+        assert out == "" and "unknown config key" in err
+
+    def test_state_rejects_a_missing_file(self, capsys, tmp_path):
+        code, out, err = run(capsys, "--config", str(tmp_path / "missing.cfg"),
+                             "state", "--w", "0.5", "--c", "0.5")
+        assert code == cli.EXIT_IO
+        assert out == "" and err.startswith("i/o error:")
+
 
 def _huge(n_digits=400):
     return "9" * n_digits
@@ -417,6 +438,7 @@ ADVERSARIAL = [
     ["mc", "--w", "0.5", "--c", "0.5", "--seed", _huge(), "--shots", "10"],
     ["mc", "--w", "0.5", "--c", "0.5", "--shots", "0"],
     ["mc", "--w", "0.5", "--c", "0.5", "--shots", _huge()],
+    ["mc", "--w", "0.75", "--c", "0.7", "--root", "2", "--shots", "100", "--seed", "1"],
 ]
 
 

@@ -319,7 +319,9 @@ class TestInferredMeans:
 
     def test_rejects_non_distribution(self):
         with pytest.raises(UsageError):
-            CoincidenceCounts(5, 5, 5, 5, shots=10, seed=0)
+            CoincidenceCounts(0, 0, 0, 0)
+        with pytest.raises(UsageError):
+            CoincidenceCounts(5, -5, 5, 5)
 
 
 class TestUnsharpUncertainties:
@@ -466,7 +468,6 @@ class TestVonNeumannCounterexample:
     def test_equatorial_axes(self, angle):
         axis = np.array([math.cos(angle), math.sin(angle), 0.0])
         ce = von_neumann_counterexample(axis)
-        assert ce.outcome_probabilities == pytest.approx((0.5, 0.5), abs=1e-12)
         assert max(ce.mean_gap_a, ce.mean_gap_b) > 0.5
 
     def test_polar_axis(self):
@@ -484,17 +485,15 @@ class TestVonNeumannCounterexample:
                    np.linalg.norm(axis - [0, 1, 0]), np.linalg.norm(axis + [0, 1, 0])) < 1e-6:
                 continue
             ce = von_neumann_counterexample(axis)
-            assert ce.outcome_probabilities[0] == pytest.approx(0.5, abs=1e-12)
             assert max(ce.mean_gap_a, ce.mean_gap_b) >= math.sqrt(2) - 1e-9
 
     @pytest.mark.parametrize("axis", [[1e-6, 1, 0], [1e-9, -1, 0], [1e-8, 1, 1e-8]])
     def test_axes_next_to_b(self, axis):
         # the rounded (w, sign) states carry q_B only to about eps/q_B here;
-        # the outcome statistics and gaps come from q itself and do not raise
+        # the gaps come from q itself and do not raise
         d = np.array(axis) / np.linalg.norm(axis)
         q_a, q_b = -d[1] / math.hypot(d[0], d[1]), d[0] / math.hypot(d[0], d[1])
         ce = von_neumann_counterexample(d)
-        assert ce.outcome_probabilities == (0.5, 0.5)
         assert ce.mean_gap_a == 2 * abs(q_a) == pytest.approx(2.0, abs=1e-11)
         assert ce.mean_gap_b == 2 * abs(q_b)
 
