@@ -28,16 +28,13 @@ from .experiment import (
     stack_transmittance,
 )
 from .protocol import (
-    EquatorialState,
-    ScanResult,
     VonNeumannCounterexample,
+    b_probabilities,
     joint_distribution,
-    make_equatorial,
     max_product,
     min_product,
     numeric_c_scan,
     sharp_deltas,
-    sharp_probabilities,
     von_neumann_counterexample,
 )
 

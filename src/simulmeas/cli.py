@@ -27,7 +27,6 @@ import math
 import os
 import sys
 import warnings
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -54,8 +53,10 @@ MAX_SHOTS = 2 ** 63 - 1
 # peaks at 105 MB resident, 29 MB of it the interpreter and numpy)
 MAX_GRID = 10 ** 6
 
-_CONFIG_KEYS = {"seed": int, "shots": int, "visibility": float,
-                "index": float, "grid": int, "format": str}
+# the settings a config file may pin, and their defaults; a file value is
+# parsed with its default's type
+SETTINGS = {"seed": 20251, "shots": experiment.DEFAULT_SHOTS, "visibility": 1.0,
+            "index": experiment.DEFAULT_REFRACTIVE_INDEX, "grid": 201, "format": "csv"}
 
 
 def _fmt(x) -> str:
@@ -71,17 +72,6 @@ def _json_value(x):
 
 # --------------------------------------------------------------------------
 # configuration
-
-@dataclass
-class RunConfig:
-    seed: int = 20251
-    shots: int = experiment.DEFAULT_SHOTS
-    visibility: float = 1.0
-    index: float = experiment.DEFAULT_REFRACTIVE_INDEX
-    grid: int = 201
-    format: str = "csv"
-    out: str | None = None
-
 
 def load_config_file(path: str) -> dict:
     """Parse ``key = value`` lines; '#' starts a comment."""
@@ -99,10 +89,10 @@ def load_config_file(path: str) -> dict:
             raise UsageError(f"{path}:{lineno}: expected 'key = value', got {raw.strip()!r}")
         key, _, val = line.partition("=")
         key, val = key.strip(), val.strip()
-        if key not in _CONFIG_KEYS:
+        if key not in SETTINGS:
             raise UsageError(f"{path}:{lineno}: unknown config key {key!r}")
         try:
-            values[key] = _CONFIG_KEYS[key](val)
+            values[key] = type(SETTINGS[key])(val)
         except ValueError as exc:
             raise UsageError(f"{path}:{lineno}: bad value for {key!r}: {val!r}") from exc
     if "format" in values and values["format"] not in ("csv", "json"):
@@ -110,16 +100,12 @@ def load_config_file(path: str) -> dict:
     return values
 
 
-def merge_config(args: argparse.Namespace) -> RunConfig:
-    cfg = RunConfig()
-    if getattr(args, "config", None):
-        for key, val in load_config_file(args.config).items():
-            setattr(cfg, key, val)
-    for key in ("seed", "shots", "visibility", "index", "grid", "format", "out"):
-        val = getattr(args, key, None)
-        if val is not None:
-            setattr(cfg, key, val)
-    return cfg
+def merge_config(args: argparse.Namespace) -> None:
+    """Fill each setting a flag left at None from the config file, else its default."""
+    pinned = load_config_file(args.config) if args.config else {}
+    for key, default in SETTINGS.items():
+        if getattr(args, key, None) is None:
+            setattr(args, key, pinned.get(key, default))
 
 
 # --------------------------------------------------------------------------
@@ -199,19 +185,17 @@ def _append_point(path: str | None, fmt: str, point: dict):
 # --------------------------------------------------------------------------
 # subcommands
 
-def cmd_state(args, cfg: RunConfig) -> int:
-    sign = +1 if args.sign == "+" else -1
-    s = protocol.make_equatorial(args.w, sign)
-    pa = protocol.sharp_probabilities(s, "A")
-    pb = protocol.sharp_probabilities(s, "B")
-    delta_a, delta_b = protocol.sharp_deltas(s.w_a_plus)
+def cmd_state(args) -> int:
+    w, sign = args.w, +1 if args.sign == "+" else -1
+    delta_a, delta_b = protocol.sharp_deltas(w)
+    pb = protocol.b_probabilities(w, sign)
     da_prime, db_prime = protocol.unsharp_deltas(delta_a, delta_b, args.c)
     value, c_opt = protocol.min_product(delta_a, delta_b)
-    scan = protocol.numeric_c_scan(s)
+    c_best, product_best, boundary = protocol.numeric_c_scan(w)
 
-    print(f"equatorial state: w_a_plus = {_fmt(s.w_a_plus)}, sign = {args.sign}")
-    print(f"amplitudes: [{_fmt(s.amplitudes[0])}, {_fmt(s.amplitudes[1])}]")
-    print(f"sharp probabilities: A -> ({_fmt(pa[0])}, {_fmt(pa[1])})   "
+    print(f"equatorial state: w_a_plus = {_fmt(w)}, sign = {args.sign}")
+    print(f"amplitudes: [{_fmt(math.sqrt(w))}, {_fmt(sign * math.sqrt(1.0 - w))}]")
+    print(f"sharp probabilities: A -> ({_fmt(w)}, {_fmt(1.0 - w)})   "
           f"B -> ({_fmt(pb[0])}, {_fmt(pb[1])})")
     print(f"sharp uncertainties: delta_a = {_fmt(delta_a)}  delta_b = {_fmt(delta_b)}  "
           f"product = {_fmt(delta_a * delta_b)}")
@@ -219,9 +203,8 @@ def cmd_state(args, cfg: RunConfig) -> int:
           f"delta_b' = {_fmt(db_prime)}  product = {_fmt(da_prime * db_prime)}")
     at_opt = "  [at optimum]" if abs(args.c - c_opt) <= 1e-3 else ""
     print(f"closed-form optimum: c_opt = {_fmt(c_opt)}  min_product = {_fmt(value)}{at_opt}")
-    flag = " (boundary)" if scan.boundary else ""
-    print(f"numeric scan: c_best = {_fmt(scan.c_best)}  "
-          f"product_best = {_fmt(scan.product_best)}{flag}")
+    flag = " (boundary)" if boundary else ""
+    print(f"numeric scan: c_best = {_fmt(c_best)}  product_best = {_fmt(product_best)}{flag}")
     print(f"max product at c = {_fmt(args.c)}: {_fmt(protocol.max_product(args.c))}")
     if args.c < 0.01 or args.c > 0.99:
         print("warning: c is near a singular boundary; one rescaled eigenvalue is very large",
@@ -229,17 +212,17 @@ def cmd_state(args, cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-def cmd_sweep(args, cfg: RunConfig) -> int:
-    columns = sweep_columns(_sweep_grid(cfg.grid, args.full_range))
-    text = render_sweep_json(columns) if cfg.format == "json" else render_sweep_csv(columns)
-    _write_text(cfg.out, text)
+def cmd_sweep(args) -> int:
+    columns = sweep_columns(_sweep_grid(args.grid, args.full_range))
+    text = render_sweep_json(columns) if args.format == "json" else render_sweep_csv(columns)
+    _write_text(args.out, text)
     return EXIT_OK
 
 
-def cmd_calibrate(args, cfg: RunConfig) -> int:
-    t_s = experiment.stack_transmittance(args.plates, cfg.index)
-    print(f"plates = {args.plates}  index = {_fmt(cfg.index)}  t_s = {_fmt(t_s)}")
-    roots = experiment.calibrate_alpha(args.plates, cfg.index)
+def cmd_calibrate(args) -> int:
+    t_s = experiment.stack_transmittance(args.plates, args.index)
+    print(f"plates = {args.plates}  index = {_fmt(args.index)}  t_s = {_fmt(t_s)}")
+    roots = experiment.calibrate_alpha(args.plates, args.index)
     print("root  alpha_rad         c                 w_a_plus          "
           "min_product       residual")
     for k, alpha in enumerate(roots, start=1):
@@ -250,52 +233,56 @@ def cmd_calibrate(args, cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-def _resolve_mc_setting(args, cfg: RunConfig) -> tuple[float, float, float, float]:
-    """(w, c, x, y) of the setting to sample: a calibrated stack or an explicit point."""
+def _resolve_mc_setting(args) -> tuple[float, float, float, float]:
+    """(w, c, x, y) of the setting to sample: a calibrated stack or an explicit point.
+
+    Visibility, c and w are checked in that fixed order, after the stack is
+    calibrated, so an input with several faults always gets the same exit
+    code.
+    """
     if (args.plates is not None or args.root is not None) and (
             args.w is not None or args.c is not None):
         raise UsageError("give either --plates/--root or --w/--c, not both")
     if args.plates is not None:
         root = 1 if args.root is None else args.root
-        t_s = experiment.stack_transmittance(args.plates, cfg.index)
-        roots = experiment.calibrate_alpha(args.plates, cfg.index)
+        t_s = experiment.stack_transmittance(args.plates, args.index)
+        roots = experiment.calibrate_alpha(args.plates, args.index)
         if not 1 <= root <= len(roots):
             raise UsageError(f"--root must be in 1..{len(roots)} for {args.plates} plates")
         st = experiment.prepare(t_s, roots[root - 1])
-        return st.w_a_plus, st.c, st.x, st.y
-    if args.w is None or args.c is None:
+        w, c, x, y = st.w_a_plus, st.c, st.x, st.y
+    elif args.w is None or args.c is None:
         raise UsageError("mc needs either --plates (with --root) or both --w and --c")
-    delta_a, _ = protocol.sharp_deltas(args.w)
-    return args.w, args.c, 2.0 * args.w - 1.0, delta_a
-
-
-def cmd_mc(args, cfg: RunConfig) -> int:
-    if cfg.seed < 0:
-        raise UsageError(f"seed must be a non-negative integer, got {cfg.seed}")
-    if not 1 <= cfg.shots <= MAX_SHOTS:
-        raise UsageError(f"shots must be in 1..{MAX_SHOTS}, got {cfg.shots}")
-    w, c, x, y = _resolve_mc_setting(args, cfg)
-    # checked in a fixed order, visibility, c, w, so an input with several
-    # faults always gets the same exit code
-    if not 0.0 <= cfg.visibility <= 1.0:
-        raise UsageError(f"visibility must be in [0, 1], got {cfg.visibility}")
+    else:
+        w, c, x, y = args.w, args.c, 2.0 * args.w - 1.0, None
+    if not 0.0 <= args.visibility <= 1.0:
+        raise UsageError(f"visibility must be in [0, 1], got {args.visibility}")
     protocol.probe_noise(c)
-    protocol.make_equatorial(w)
-    counts, report = experiment.run_setting(x, y, c, cfg.shots, cfg.seed, cfg.visibility)
+    delta_a, _ = protocol.sharp_deltas(w)
+    return w, c, x, delta_a if y is None else y
+
+
+def cmd_mc(args) -> int:
+    if args.seed < 0:
+        raise UsageError(f"seed must be a non-negative integer, got {args.seed}")
+    if not 1 <= args.shots <= MAX_SHOTS:
+        raise UsageError(f"shots must be in 1..{MAX_SHOTS}, got {args.shots}")
+    w, c, x, y = _resolve_mc_setting(args)
+    counts, report = experiment.run_setting(x, y, c, args.shots, args.seed, args.visibility)
 
     delta_a, delta_b = abs(y), abs(x)
     analytic = protocol.unsharp_product(delta_a, delta_b, c)
-    print(f"setting: w_a_plus = {_fmt(w)}  c = {_fmt(c)}  shots = {cfg.shots}  "
-          f"seed = {cfg.seed}  visibility = {_fmt(cfg.visibility)}")
+    print(f"setting: w_a_plus = {_fmt(w)}  c = {_fmt(c)}  shots = {args.shots}  "
+          f"seed = {args.seed}  visibility = {_fmt(args.visibility)}")
     print(f"counts: (B+,M+) {counts.n_pp}  (B+,M-) {counts.n_pm}  "
           f"(B-,M+) {counts.n_mp}  (B-,M-) {counts.n_mm}")
     print(f"measured product = {_fmt(report.product_simultaneous)}  "
           f"stderr = {_fmt(report.product_stderr)}")
     print(f"analytic product = {_fmt(analytic)}  "
           f"minimum possible = {_fmt(1.0 + delta_a * delta_b)}")
-    _append_point(cfg.out, cfg.format, {
-        "w_a_plus": w, "c_used": c, "shots": cfg.shots, "seed": cfg.seed,
-        "visibility": cfg.visibility,
+    _append_point(args.out, args.format, {
+        "w_a_plus": w, "c_used": c, "shots": args.shots, "seed": args.seed,
+        "visibility": args.visibility,
         "product_measured": report.product_simultaneous,
         "product_stderr": report.product_stderr,
         "product_analytic": analytic,
@@ -322,7 +309,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_state.set_defaults(func=cmd_state)
 
     p_sweep = sub.add_parser("sweep", help="emit product curves over w_a_plus")
-    p_sweep.add_argument("--grid", type=int, default=None, help="number of rows (default 201)")
+    p_sweep.add_argument("--grid", type=int, default=None,
+                         help=f"number of rows (default {SETTINGS['grid']})")
     p_sweep.add_argument("--full-range", action="store_true",
                          help="sweep w in [0, 1] instead of [0.5, 1]")
     p_sweep.add_argument("--out", default=None, help="output path (default stdout)")
@@ -332,7 +320,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_cal = sub.add_parser("calibrate", help="find optimal polarizer rotations")
     p_cal.add_argument("--plates", type=int, required=True, help="glass plate count")
     p_cal.add_argument("--index", type=float, default=None,
-                       help="glass refractive index (default 1.5)")
+                       help=f"glass refractive index (default {SETTINGS['index']})")
     p_cal.set_defaults(func=cmd_calibrate)
 
     p_mc = sub.add_parser("mc", help="Monte Carlo coincidence run of one setting")
@@ -364,7 +352,8 @@ def main(argv=None) -> int:
         warnings.simplefilter("always")
         warnings.showwarning = _print_warning
         try:
-            return args.func(args, merge_config(args))
+            merge_config(args)
+            return args.func(args)
         except UsageError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return EXIT_USAGE

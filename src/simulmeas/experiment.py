@@ -283,20 +283,27 @@ def sample_coincidences(p, shots: int, seed: int,
     """Draw seeded multinomial coincidence counts from the joint distribution.
 
     A visibility V below 1 mixes the distribution with a uniform floor,
-    V p + (1 - V)/4, to mimic imperfect state purity.
+    V p + (1 - V)/4, to mimic imperfect state purity. ``shots`` and
+    ``seed`` must be integers (numpy integers are accepted).
     """
     probs = np.asarray(p, dtype=float).ravel()
     if probs.shape != (4,):
         raise UsageError(f"expected 4 joint probabilities, got shape {probs.shape}")
     if np.any(probs < -1e-12) or abs(probs.sum() - 1.0) > 1e-9:
         raise UsageError(f"not a probability distribution: {probs} (sum {probs.sum():.12g})")
+    try:
+        shots, seed = operator.index(shots), operator.index(seed)
+    except TypeError:
+        raise UsageError(f"shots and seed must be integers, got {shots!r} and {seed!r}") from None
     if shots < 1:
         raise UsageError(f"shots must be >= 1, got {shots}")
+    if seed < 0:
+        raise UsageError(f"seed must be a non-negative integer, got {seed}")
     if not 0.0 <= visibility <= 1.0:
         raise UsageError(f"visibility must be in [0, 1], got {visibility}")
     mixed = visibility * np.clip(probs, 0.0, None) + (1.0 - visibility) / 4.0
     mixed = mixed / mixed.sum()
-    counts = np.random.default_rng(seed).multinomial(int(shots), mixed)
+    counts = np.random.default_rng(seed).multinomial(shots, mixed)
     return CoincidenceCounts(*counts.tolist())
 
 

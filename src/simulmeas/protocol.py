@@ -31,10 +31,11 @@ whose product is minimized to 1 + delta_a*delta_b at
 c = sqrt(delta_a/(delta_a + delta_b)). This module implements these closed
 forms, both product extrema, a brute-force scan that cross-checks the
 optimum, and the constructive argument, in Bloch components, that no
-single von Neumann measurement can do the same job. It does no amplitude
-arithmetic: the closed forms take floats or numpy arrays alike, and their
-amplitude-level derivation, Pauli matrices included, lives in `qmath`,
-which only the tests use.
+single von Neumann measurement can do the same job. A state is the plain
+pair (w, sign), and `sharp_deltas` is the one check that w lies in
+[0, 1]. The module does no amplitude arithmetic: the closed forms take
+floats or numpy arrays alike, and their amplitude-level derivation, Pauli
+matrices included, lives in `qmath`, which only the tests use.
 
 Conventions: |A+> = (1, 0), |A-> = (0, 1); |B+/-> = (|A+> +/- |A->)/sqrt(2).
 All uncertainties are normalized by the eigenvalue magnitudes.
@@ -50,11 +51,8 @@ import numpy as np
 from .errors import RescalingSingularError, UsageError
 
 __all__ = [
-    "EquatorialState",
-    "ScanResult",
     "VonNeumannCounterexample",
-    "make_equatorial",
-    "sharp_probabilities",
+    "b_probabilities",
     "sharp_deltas",
     "joint_distribution",
     "probe_noise",
@@ -68,74 +66,26 @@ __all__ = [
 
 
 # --------------------------------------------------------------------------
-# domain types
-
-@dataclass(frozen=True)
-class EquatorialState:
-    """Pure qubit state on the A-B equator: sqrt(w)|A+> +- sqrt(1-w)|A->."""
-
-    w_a_plus: float
-    sign: int
-
-    def __post_init__(self):
-        if not 0.0 <= self.w_a_plus <= 1.0:
-            raise UsageError(f"w_a_plus must be in [0, 1], got {self.w_a_plus}")
-        if self.sign not in (+1, -1):
-            raise UsageError(f"sign must be +1 or -1, got {self.sign}")
-
-    @property
-    def amplitudes(self) -> tuple[float, float]:
-        w = self.w_a_plus
-        return (math.sqrt(w), self.sign * math.sqrt(1.0 - w))
-
-
-@dataclass(frozen=True)
-class ScanResult:
-    """Outcome of the brute-force overlap scan."""
-
-    c_best: float
-    product_best: float
-    boundary: bool
-
-
-@dataclass(frozen=True, eq=False)
-class VonNeumannCounterexample:
-    """Two equatorial states a projective measurement cannot tell apart."""
-
-    state_q: EquatorialState
-    state_minus_q: EquatorialState
-    mean_gap_a: float
-    mean_gap_b: float
-
-
-# --------------------------------------------------------------------------
-# states and sharp quantities
-
-def make_equatorial(w_a_plus: float, sign: int = +1) -> EquatorialState:
-    """Equatorial state sqrt(w)|A+> + sign*sqrt(1-w)|A->."""
-    return EquatorialState(w_a_plus=float(w_a_plus), sign=sign)
-
-
-def sharp_probabilities(s: EquatorialState, which: str) -> tuple[float, float]:
-    """Outcome probabilities of a sharp A or B measurement on the state.
-
-    For B the pair is 1/2 +- sqrt(w(1-w)), the +- fixed by the state's sign.
-    """
-    if which not in ("A", "B"):
-        raise UsageError(f"which must be 'A' or 'B', got {which!r}")
-    w = s.w_a_plus
-    if which == "A":
-        return (w, 1.0 - w)
-    p = 0.5 + s.sign * math.sqrt(w * (1.0 - w))
-    return (p, 1.0 - p)
-
+# sharp quantities of the state (w, sign)
 
 def sharp_deltas(w_a_plus):
-    """Normalized sharp uncertainties (delta_a, delta_b) = (|y|, |x|) at weight w."""
+    """Normalized sharp uncertainties (delta_a, delta_b) = (|y|, |x|) at weight w.
+
+    Raises `UsageError` unless every w is in [0, 1].
+    """
     w = w_a_plus
-    delta_a = 2.0 * np.sqrt(np.maximum(w * (1.0 - w), 0.0))
-    delta_b = abs(2.0 * w - 1.0)
-    return (delta_a, delta_b)
+    if not np.all((w >= 0.0) & (w <= 1.0)):
+        raise UsageError(f"w_a_plus must be in [0, 1], got {w}")
+    return (2.0 * np.sqrt(w * (1.0 - w)), abs(2.0 * w - 1.0))
+
+
+def b_probabilities(w_a_plus, sign: int) -> tuple[float, float]:
+    """Outcome probabilities 1/2 +- sign*sqrt(w(1-w)) of a sharp B measurement."""
+    if sign not in (+1, -1):
+        raise UsageError(f"sign must be +1 or -1, got {sign}")
+    delta_a, _ = sharp_deltas(w_a_plus)
+    p = 0.5 + 0.5 * sign * delta_a
+    return (p, 1.0 - p)
 
 
 # --------------------------------------------------------------------------
@@ -233,15 +183,16 @@ def _golden_min(f, lo: float, hi: float, tol: float = 1e-10) -> float:
     return 0.5 * (lo + hi)
 
 
-def numeric_c_scan(s: EquatorialState) -> ScanResult:
+def numeric_c_scan(w_a_plus: float) -> tuple[float, float, bool]:
     """Brute-force minimization of the simultaneous product over the overlap.
 
-    Scans 1000 uniform points on (1e-4, 1-1e-4), then refines the best
-    bracket by golden-section search. A minimizer at the first or last grid
-    point is flagged as a boundary: the true optimum is a limit there
-    (overlap 0 or 1), not an interior point.
+    Returns (c_best, product_best, boundary). Scans 1000 uniform points on
+    (1e-4, 1-1e-4), then refines the best bracket by golden-section search.
+    A minimizer at the first or last grid point is flagged as a boundary:
+    the true optimum is a limit there (overlap 0 or 1), not an interior
+    point.
     """
-    delta_a, delta_b = sharp_deltas(s.w_a_plus)
+    delta_a, delta_b = sharp_deltas(w_a_plus)
 
     def product(c):
         one_minus = 1.0 - c * c
@@ -254,16 +205,24 @@ def numeric_c_scan(s: EquatorialState) -> ScanResult:
     lo = grid[max(k - 1, 0)]
     hi = grid[min(k + 1, _SCAN_POINTS - 1)]
     c_best = _golden_min(product, lo, hi)
-    return ScanResult(c_best=float(c_best), product_best=float(product(c_best)),
-                      boundary=boundary)
+    return (float(c_best), float(product(c_best)), boundary)
 
 
 # --------------------------------------------------------------------------
 # why a single projective measurement cannot work
 
-def _equatorial_from_bloch(x: float, y: float) -> EquatorialState:
-    w = min(max(0.5 * (1.0 + x), 0.0), 1.0)
-    return make_equatorial(w, +1 if y >= 0.0 else -1)
+@dataclass(frozen=True, eq=False)
+class VonNeumannCounterexample:
+    """Two equatorial states (w, sign) a projective measurement cannot tell apart."""
+
+    state_q: tuple[float, int]
+    state_minus_q: tuple[float, int]
+    mean_gap_a: float
+    mean_gap_b: float
+
+
+def _equatorial_from_bloch(x: float, y: float) -> tuple[float, int]:
+    return (min(max(0.5 * (1.0 + x), 0.0), 1.0), +1 if y >= 0.0 else -1)
 
 
 def von_neumann_counterexample(measurement_axis) -> VonNeumannCounterexample:

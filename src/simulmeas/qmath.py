@@ -147,6 +147,11 @@ def post_select(alpha: float, t_s: float) -> tuple[np.ndarray, float]:
 # --------------------------------------------------------------------------
 # the object-probe pair
 
+def equatorial(w: float, sign: int) -> np.ndarray:
+    """sqrt(w)|A+> + sign*sqrt(1-w)|A->, the object state `protocol` calls (w, sign)."""
+    return vec([math.sqrt(w), sign * math.sqrt(1.0 - w)])
+
+
 def conditional_pair(c: float) -> tuple[np.ndarray, np.ndarray]:
     """Real unit probe states symmetric about (1, 0) with overlap c in [0, 1]."""
     half = 0.5 * math.acos(c)

@@ -52,17 +52,16 @@ def test_criterion_01_closed_form_vs_brute_force():
     w_values = np.linspace(0.5, 1.0, 101)
     worst_value, worst_argmin = 0.0, 0.0
     for w in w_values[1:-1]:
-        s = protocol.make_equatorial(float(w))
-        scan = protocol.numeric_c_scan(s)
-        value, c_opt = protocol.min_product(*protocol.sharp_deltas(s.w_a_plus))
-        worst_value = max(worst_value, abs(scan.product_best - value))
-        worst_argmin = max(worst_argmin, abs(scan.c_best - c_opt))
+        c_best, product_best, _ = protocol.numeric_c_scan(float(w))
+        value, c_opt = protocol.min_product(*protocol.sharp_deltas(float(w)))
+        worst_value = max(worst_value, abs(product_best - value))
+        worst_argmin = max(worst_argmin, abs(c_best - c_opt))
     # boundary cases are limits: the scan must flag them and approach the
     # limiting product 1 from above
     edge_ok = True
     for w in (0.5, 1.0):
-        scan = protocol.numeric_c_scan(protocol.make_equatorial(w))
-        edge_ok &= scan.boundary and abs(scan.product_best - 1.0) < 1e-3
+        _, product_best, boundary = protocol.numeric_c_scan(w)
+        edge_ok &= boundary and abs(product_best - 1.0) < 1e-3
     elapsed = time.perf_counter() - start
     ok = worst_value <= 1e-6 and worst_argmin <= 1e-4 and edge_ok and elapsed < 1.0
     record(1, ok, f"brute-force optimum: max value err {worst_value:.2e}, "

@@ -406,6 +406,101 @@ class TestConfigFile:
         assert out == "" and err.startswith("i/o error:")
 
 
+def _lines(*lines):
+    return "".join(line + "\n" for line in lines)
+
+
+# argv, exit code, stdout, stderr; "{cfg}" is a config file pinning
+# seed = 7, shots = 5000 and visibility = 0.95
+GOLDEN = [
+    ("state --w 0.75 --c 0.7962", 0, _lines(
+        "equatorial state: w_a_plus = 0.75, sign = +",
+        "amplitudes: [0.866025403784, 0.5]",
+        "sharp probabilities: A -> (0.75, 0.25)   B -> (0.933012701892, 0.0669872981078)",
+        "sharp uncertainties: delta_a = 0.866025403784  delta_b = 0.5  product = 0.433012701892",
+        "unsharp at c = 0.7962: delta_a' = 1.57535745479  delta_b' = 0.909642889019  "
+        "product = 1.43301270642",
+        "closed-form optimum: c_opt = 0.796225217018  min_product = 1.43301270189  "
+        "[at optimum]",
+        "numeric scan: c_best = 0.79622521573  product_best = 1.43301270189",
+        "max product at c = 0.7962: 2.07586157918"), ""),
+    ("state --w 0.3 --sign - --c 0.5", 0, _lines(
+        "equatorial state: w_a_plus = 0.3, sign = -",
+        "amplitudes: [0.547722557505, -0.836660026534]",
+        "sharp probabilities: A -> (0.3, 0.7)   B -> (0.0417424305044, 0.958257569496)",
+        "sharp uncertainties: delta_a = 0.916515138991  delta_b = 0.4  product = 0.366606055596",
+        "unsharp at c = 0.5: delta_a' = 1.08320512062  delta_b' = 1.77763888346  "
+        "product = 1.92554754118",
+        "closed-form optimum: c_opt = 0.834366565305  min_product = 1.3666060556",
+        "numeric scan: c_best = 0.834366560911  product_best = 1.3666060556",
+        "max product at c = 0.5: 2.30940107676"), ""),
+    ("state --w 1 --c 0.9999999999999999", 0, _lines(
+        "equatorial state: w_a_plus = 1, sign = +",
+        "amplitudes: [1, 0]",
+        "sharp probabilities: A -> (1, 0)   B -> (0.5, 0.5)",
+        "sharp uncertainties: delta_a = 0  delta_b = 1  product = 0",
+        "unsharp at c = 1: delta_a' = 67108864  delta_b' = 1  product = 67108864",
+        "closed-form optimum: c_opt = 0  min_product = 1",
+        "numeric scan: c_best = 0.000100000039241  product_best = 1.000000005 (boundary)",
+        "max product at c = 1: 67108864"),
+     _lines("warning: c is near a singular boundary; one rescaled eigenvalue is very large")),
+    ("state --w 1.5 --c 0.5", 2, "", _lines("error: w_a_plus must be in [0, 1], got 1.5")),
+    ("state --w 2 --c 0", 2, "", _lines("error: w_a_plus must be in [0, 1], got 2.0")),
+    ("sweep --grid 3 --full-range", 0, _lines(
+        "# products are symmetric about w_a_plus = 0.5; "
+        "max_product diverges where c_opt reaches 0 or 1",
+        "w_a_plus,delta_a,delta_b,c_opt,min_product,max_product,sharp_product",
+        "0,0,1,0,1,inf,0",
+        "0.5,1,0,1,1,inf,0",
+        "1,0,1,0,1,inf,0"), ""),
+    ("calibrate --plates 10", 0, _lines(
+        "plates = 10  index = 1.5  t_s = 0.201724141012",
+        "root  alpha_rad         c                 w_a_plus          min_product       residual",
+        "1     0.158805386661    0.596176615767    0.937846341727    1.42284471706     0",
+        "2     0.686620748955    0.919034164335    0.590461615309    1.17793749461     0"), ""),
+    ("calibrate --plates 7", 4, _lines("plates = 7  index = 1.5  t_s = 0.32608476782"), _lines(
+        "error: no rotation angle reaches the optimal product for 7 plates at index 1.5: "
+        "the stack is too leaky (k^2 below k_min^2)",
+        "diagnostic: margin k^2 - k_min^2 = -0.0705435; this plate count calibrates above "
+        "index n* = 1.5375383")),
+    ("mc --w 0.8 --c 0.6 --shots 1000 --seed 3", 0, _lines(
+        "setting: w_a_plus = 0.8  c = 0.6  shots = 1000  seed = 3  visibility = 1",
+        "counts: (B+,M+) 486  (B+,M-) 245  (B-,M+) 259  (B-,M-) 10",
+        "measured product = 1.61065234423  stderr = 0.0326046859916",
+        "analytic product = 1.60333333333  minimum possible = 1.48"), ""),
+    ("mc --plates 10 --root 2 --shots 1000 --seed 5", 0, _lines(
+        "setting: w_a_plus = 0.590461615309  c = 0.919034164335  shots = 1000  seed = 5  "
+        "visibility = 1",
+        "counts: (B+,M+) 509  (B+,M-) 448  (B-,M+) 38  (B-,M-) 5",
+        "measured product = 1.11498504249  stderr = 0.0790232866666",
+        "analytic product = 1.17793749461  minimum possible = 1.17793749461"), ""),
+    ("--config {cfg} mc --w 0.8 --c 0.6", 0, _lines(
+        "setting: w_a_plus = 0.8  c = 0.6  shots = 5000  seed = 7  visibility = 0.95",
+        "counts: (B+,M+) 2386  (B+,M-) 1221  (B-,M+) 1287  (B-,M-) 106",
+        "measured product = 1.64957968778  stderr = 0.0145006887128",
+        "analytic product = 1.60333333333  minimum possible = 1.48"), ""),
+    ("mc --w 0.5 --c 0.5 --seed -1", 2, "",
+     _lines("error: seed must be a non-negative integer, got -1")),
+    ("mc --w 2 --c 0.5 --shots 10", 2, "", _lines("error: w_a_plus must be in [0, 1], got 2.0")),
+    # several faults at once: visibility is checked first, then c, then w
+    ("mc --w 2 --c 0", 3, "", _lines(
+        "error: overlap c = 0.0 is singular: one observable is exact, "
+        "the other carries no signal")),
+    ("mc --w nan --c nan", 3, "", _lines(
+        "error: overlap c = nan is singular: one observable is exact, "
+        "the other carries no signal")),
+    ("mc --w 2 --c 0 --visibility 2", 2, "",
+     _lines("error: visibility must be in [0, 1], got 2.0")),
+]
+
+
+@pytest.mark.parametrize("argv, code, out, err", GOLDEN, ids=[case[0] for case in GOLDEN])
+def test_golden_transcript(capsys, tmp_path, argv, code, out, err):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("seed = 7\nshots = 5000\nvisibility = 0.95\n")
+    assert run(capsys, *argv.format(cfg=cfg).split()) == (code, out, err)
+
+
 def _huge(n_digits=400):
     return "9" * n_digits
 

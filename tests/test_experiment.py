@@ -409,6 +409,14 @@ class TestSampling:
         with pytest.raises(UsageError, match="visibility"):
             sample_coincidences([1, 0, 0, 0], shots=10, seed=0, visibility=1.2)
 
+    @pytest.mark.parametrize("shots, seed, match", [
+        (10.7, 1, "must be integers"), ("10", 1, "must be integers"),
+        (10, 1.5, "must be integers"), (10, -1, "seed must be a non-negative integer")],
+        ids=["float shots", "string shots", "float seed", "negative seed"])
+    def test_rejects_non_integer_shots_and_bad_seeds(self, shots, seed, match):
+        with pytest.raises(UsageError, match=match):
+            sample_coincidences([0.25] * 4, shots, seed)
+
     def test_counts_validation(self):
         with pytest.raises(UsageError, match="sum to 0"):
             CoincidenceCounts(n_pp=0, n_pm=0, n_mp=0, n_mm=0)

@@ -10,14 +10,13 @@ from simulmeas import protocol, qmath
 from simulmeas.errors import RescalingSingularError, UsageError
 from simulmeas.experiment import CoincidenceCounts
 from simulmeas.protocol import (
+    b_probabilities,
     joint_distribution,
-    make_equatorial,
     max_product,
     min_product,
     numeric_c_scan,
     probe_noise,
     sharp_deltas,
-    sharp_probabilities,
     unsharp_deltas,
     von_neumann_counterexample,
 )
@@ -39,44 +38,16 @@ def inferred_means(p, c):
     return probe, obj
 
 
-class TestMakeEquatorial:
-    def test_a_eigenstate(self):
-        s = make_equatorial(1.0, +1)
-        np.testing.assert_allclose(s.amplitudes, [1, 0], atol=1e-15)
-
-    def test_b_eigenstate(self):
-        s = make_equatorial(0.5, +1)
-        np.testing.assert_allclose(s.amplitudes, np.array([1, 1]) / np.sqrt(2), atol=1e-15)
-
-    def test_general_point(self):
-        s = make_equatorial(0.75, -1)
-        np.testing.assert_allclose(s.amplitudes, [math.sqrt(0.75), -0.5], atol=1e-15)
-
-    def test_amplitudes_are_real_floats(self):
-        amps = make_equatorial(0.3, -1).amplitudes
-        assert isinstance(amps, tuple) and [type(a) for a in amps] == [float, float]
-
-    @pytest.mark.parametrize("w", [-0.1, 1.1, math.nan])
-    def test_rejects_bad_probability(self, w):
-        with pytest.raises(UsageError):
-            make_equatorial(w)
-
-    def test_rejects_bad_sign(self):
-        with pytest.raises(UsageError):
-            make_equatorial(0.5, 0)
-
-
 class TestSharpQuantities:
     def test_b_eigenstate_is_certain_in_b(self):
-        assert sharp_probabilities(make_equatorial(0.5, +1), "B") == pytest.approx((1, 0))
+        assert b_probabilities(0.5, +1) == pytest.approx((1, 0))
 
     def test_a_eigenstate_is_unbiased_in_b(self):
         for sign in (+1, -1):
-            assert sharp_probabilities(make_equatorial(1.0, sign), "B") == \
-                pytest.approx((0.5, 0.5))
+            assert b_probabilities(1.0, sign) == pytest.approx((0.5, 0.5))
 
     def test_general_b_probability(self):
-        p_plus, p_minus = sharp_probabilities(make_equatorial(0.75, +1), "B")
+        p_plus, p_minus = b_probabilities(0.75, +1)
         assert p_plus == pytest.approx(0.9330127018922193, abs=1e-12)
         assert p_plus + p_minus == pytest.approx(1.0, abs=1e-12)
 
@@ -84,9 +55,21 @@ class TestSharpQuantities:
         # oracle: project the amplitude vector onto the B basis directly
         rng = np.random.default_rng(11)
         for _ in range(200):
-            s = make_equatorial(rng.uniform(), rng.choice([1, -1]))
-            expected = tuple(abs(qmath.inner(b, s.amplitudes)) ** 2 for b in qmath.B_BASIS)
-            assert sharp_probabilities(s, "B") == pytest.approx(expected, abs=1e-12)
+            w, sign = rng.uniform(), int(rng.choice([1, -1]))
+            amplitudes = qmath.equatorial(w, sign)
+            expected = tuple(abs(qmath.inner(b, amplitudes)) ** 2 for b in qmath.B_BASIS)
+            assert b_probabilities(w, sign) == pytest.approx(expected, abs=1e-12)
+
+    @pytest.mark.parametrize("w", [1.5, -0.25, math.nan, np.array([0.0, 0.5, 1.0 + 1e-15])],
+                             ids=["1.5", "-0.25", "nan", "array"])
+    def test_sharp_deltas_rejects_a_weight_outside_the_unit_interval(self, w):
+        with pytest.raises(UsageError, match="w_a_plus must be in"):
+            sharp_deltas(w)
+
+    @pytest.mark.parametrize("sign", [0, 2, -2])
+    def test_b_probabilities_rejects_a_bad_sign(self, sign):
+        with pytest.raises(UsageError, match="sign must be"):
+            b_probabilities(0.5, sign)
 
     def test_uncertainty_extremes(self):
         assert sharp_deltas(1.0) == pytest.approx((0, 1))
@@ -114,12 +97,12 @@ class TestEntangleDecompose:
         assert abs(qmath.inner(m_plus, m_minus)) < 1e-12
 
     def test_no_entanglement_at_c_one(self):
-        s = make_equatorial(0.7, -1)
         state = qmath.entangle(0.7, -1, 1.0)
         _, _, c, m_plus, _ = qmath.decompose(state)
         assert c == pytest.approx(1.0, abs=1e-12)
         # product state: object factor recovered
-        np.testing.assert_allclose(np.kron(s.amplitudes, m_plus), state, atol=1e-12)
+        np.testing.assert_allclose(np.kron(qmath.equatorial(0.7, -1), m_plus), state,
+                                   atol=1e-12)
 
     def test_singlet_decomposition(self):
         w, sign, c, _, _ = qmath.decompose(qmath.singlet())
@@ -129,8 +112,7 @@ class TestEntangleDecompose:
 
     def test_product_state_decomposition(self):
         m = np.array([math.cos(0.3), math.sin(0.3)])
-        s = make_equatorial(0.6, +1)
-        w, _, c, _, _ = qmath.decompose(np.kron(s.amplitudes, m))
+        w, _, c, _, _ = qmath.decompose(np.kron(qmath.equatorial(0.6, +1), m))
         assert w == pytest.approx(0.6, abs=1e-12)
         assert c == pytest.approx(1.0, abs=1e-12)
 
@@ -438,17 +420,16 @@ class TestProductExtrema:
 class TestNumericCScan:
     def test_matches_closed_form(self):
         for w in (SYMMETRIC_W, 0.75, 0.62):
-            s = make_equatorial(w)
-            scan = numeric_c_scan(s)
+            c_best, product_best, boundary = numeric_c_scan(w)
             value, c_opt = min_product(*sharp_deltas(w))
-            assert not scan.boundary
-            assert scan.product_best == pytest.approx(value, abs=1e-6)
-            assert scan.c_best == pytest.approx(c_opt, abs=1e-4)
+            assert not boundary
+            assert product_best == pytest.approx(value, abs=1e-6)
+            assert c_best == pytest.approx(c_opt, abs=1e-4)
 
     def test_boundary_flag_at_b_eigenstate(self):
-        scan = numeric_c_scan(make_equatorial(0.5))
-        assert scan.boundary
-        assert scan.product_best == pytest.approx(1.0, abs=1e-3)
+        _, product_best, boundary = numeric_c_scan(0.5)
+        assert boundary
+        assert product_best == pytest.approx(1.0, abs=1e-3)
 
 
 @st.composite
@@ -504,15 +485,15 @@ class TestVonNeumannCounterexample:
             ce = von_neumann_counterexample(axis)
         except UsageError:
             assume(False)  # on the A or B axis, which the construction excludes
-        states = (ce.state_q, ce.state_minus_q)
-        delta_a = min(sharp_deltas(s.w_a_plus)[0] for s in states)
+        states = [qmath.equatorial(*s) for s in (ce.state_q, ce.state_minus_q)]
+        delta_a = min(sharp_deltas(w)[0] for w, _ in (ce.state_q, ce.state_minus_q))
         # the (w, sign) form rounds y by about eps/delta_a near the A
         # eigenstates; written multiplied out so delta_a = 0 is allowed
         def close(value, exact):
             return abs(value - exact) * delta_a <= 4 * EPS * (1 + delta_a)
         for s in states:
-            assert close(qmath.axis_probability(s.amplitudes, axis), 0.5)
-        r_q, r_mq = (qmath.pauli_expectations(s.amplitudes) for s in states)
+            assert close(qmath.axis_probability(s, axis), 0.5)
+        r_q, r_mq = (qmath.pauli_expectations(s) for s in states)
         assert close(ce.mean_gap_a, abs(r_q[0] - r_mq[0]))
         assert close(ce.mean_gap_b, abs(r_q[1] - r_mq[1]))
 

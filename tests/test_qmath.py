@@ -98,6 +98,20 @@ def test_vector_validation():
         qmath.require_state([2, 0])
 
 
+class TestEquatorial:
+    # the (w, sign) state's amplitudes, which the tests use as the reference
+    def test_a_eigenstate(self):
+        np.testing.assert_allclose(qmath.equatorial(1.0, +1), [1, 0], atol=1e-15)
+
+    def test_b_eigenstate(self):
+        np.testing.assert_allclose(qmath.equatorial(0.5, +1), np.array([1, 1]) / np.sqrt(2),
+                                   atol=1e-15)
+
+    def test_general_point(self):
+        np.testing.assert_allclose(qmath.equatorial(0.75, -1), [math.sqrt(0.75), -0.5],
+                                   atol=1e-15)
+
+
 class TestReferenceChain:
     def test_b_basis_is_unbiased_to_a(self):
         for b in qmath.B_BASIS:
