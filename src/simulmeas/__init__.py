@@ -17,7 +17,6 @@ from .errors import (
 )
 from .experiment import (
     CoincidenceCounts,
-    PreparedState,
     UncertaintyReport,
     calibrate_alpha,
     estimate_report,

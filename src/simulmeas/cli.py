@@ -46,8 +46,6 @@ MC_COLUMNS = ["w_a_plus", "c_used", "shots", "seed", "visibility",
 SWEEP_NOTE = ("products are symmetric about w_a_plus = 0.5; "
               "max_product diverges where c_opt reaches 0 or 1")
 
-# the multinomial sampler draws int64 counts
-MAX_SHOTS = 2 ** 63 - 1
 # largest sweep grid: ten times the largest sweep perfbench runs; rendering
 # JSON peaks at about 0.75 kB of memory a row (a 100 001-row JSON sweep
 # peaks at 105 MB resident, 29 MB of it the interpreter and numpy)
@@ -226,10 +224,10 @@ def cmd_calibrate(args) -> int:
     print("root  alpha_rad         c                 w_a_plus          "
           "min_product       residual")
     for k, alpha in enumerate(roots, start=1):
-        st = experiment.prepare(t_s, alpha)
-        value, c_opt = protocol.min_product(st.delta_a, st.delta_b)
-        print(f"{k:<5d} {_fmt(alpha):<18s}{_fmt(st.c):<18s}{_fmt(st.w_a_plus):<18s}"
-              f"{_fmt(value):<18s}{_fmt(abs(st.c - c_opt))}")
+        x, y, c = experiment.prepare(t_s, alpha)
+        value, c_opt = protocol.min_product(abs(y), abs(x))
+        print(f"{k:<5d} {_fmt(alpha):<18s}{_fmt(c):<18s}{_fmt(0.5 * (1.0 + x)):<18s}"
+              f"{_fmt(value):<18s}{_fmt(abs(c - c_opt))}")
     return EXIT_OK
 
 
@@ -249,8 +247,8 @@ def _resolve_mc_setting(args) -> tuple[float, float, float, float]:
         roots = experiment.calibrate_alpha(args.plates, args.index)
         if not 1 <= root <= len(roots):
             raise UsageError(f"--root must be in 1..{len(roots)} for {args.plates} plates")
-        st = experiment.prepare(t_s, roots[root - 1])
-        w, c, x, y = st.w_a_plus, st.c, st.x, st.y
+        x, y, c = experiment.prepare(t_s, roots[root - 1])
+        w = 0.5 * (1.0 + x)
     elif args.w is None or args.c is None:
         raise UsageError("mc needs either --plates (with --root) or both --w and --c")
     else:
@@ -265,8 +263,8 @@ def _resolve_mc_setting(args) -> tuple[float, float, float, float]:
 def cmd_mc(args) -> int:
     if args.seed < 0:
         raise UsageError(f"seed must be a non-negative integer, got {args.seed}")
-    if not 1 <= args.shots <= MAX_SHOTS:
-        raise UsageError(f"shots must be in 1..{MAX_SHOTS}, got {args.shots}")
+    if not 1 <= args.shots <= experiment.MAX_SHOTS:
+        raise UsageError(f"shots must be in 1..{experiment.MAX_SHOTS}, got {args.shots}")
     w, c, x, y = _resolve_mc_setting(args)
     counts, report = experiment.run_setting(x, y, c, args.shots, args.seed, args.visibility)
 

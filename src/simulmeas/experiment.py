@@ -8,22 +8,24 @@ amplitude t_s set by the plate count. Rotated by alpha from the vertical
 |A+> direction, it turns the post-selected singlet into the protocol's
 partially entangled family: alpha = 0 leaves the probe conditionals
 orthogonal (c = 0) while biasing w_a_plus above 1/2; a perfect polarizer at
-alpha = pi/4 gives a product state (c = 1) with w_a_plus = 1/2. `prepare`
-gives the prepared state in closed form. For a fixed stack, w and c cannot
-be tuned independently: only the rotation angles where c matches
-sqrt(delta_a/(delta_a+delta_b)) reach the minimum simultaneous uncertainty
-product, and `calibrate_alpha` finds them.
+alpha = pi/4 gives a product state (c = 1) with w_a_plus = 1/2. For a
+fixed stack, w and c cannot be tuned independently: only the rotation
+angles where c matches sqrt(delta_a/(delta_a+delta_b)) reach the minimum
+simultaneous uncertainty product, and `calibrate_alpha` finds them.
 
-Coincidence counting is modeled as seeded multinomial sampling over the four
-joint outcomes of `protocol.joint_distribution`, with an optional
-visibility knob mixing in a uniform background to mimic imperfect state
-purity. `estimate_report` reduces the integer counts the way the measured
-data would be processed: empirical marginals, rescaled two-point
-distributions, then standard deviations. It returns the inferred
-uncertainties and their product with its delta-method standard error. The
-count ratios in the product and in its variance are each rounded once, so
-the estimate keeps full precision for any counts up to the sampler's
-2^63 - 1 shots, nearly pure marginals included.
+`prepare` returns the state as its Bloch triple (x, y, c). Imperfect
+purity is a visibility V: the white-noise mixture V rho + (1 - V) I/4
+shortens the object's Bloch vector to (V x, V y), and since the coincidence
+distribution is affine in x and y about 1/4, `run_setting` samples exactly
+`protocol.joint_distribution(V x, V y, c)`. Coincidence counting is seeded
+multinomial sampling over those four joint outcomes. `estimate_report`
+reduces the integer counts the way the measured data would be processed:
+empirical marginals, rescaled two-point distributions, then standard
+deviations. It returns the inferred uncertainties and their product with
+its delta-method standard error. The count ratios in the product and in
+its variance are each rounded once, so the estimate keeps full precision
+for any counts up to the sampler's 2^63 - 1 shots, nearly pure marginals
+included.
 """
 
 from __future__ import annotations
@@ -39,7 +41,6 @@ from . import protocol
 from .errors import CalibrationInfeasibleError, UsageError
 
 __all__ = [
-    "PreparedState",
     "CoincidenceCounts",
     "UncertaintyReport",
     "plate_transmittance",
@@ -54,6 +55,8 @@ __all__ = [
 
 DEFAULT_REFRACTIVE_INDEX = 1.5
 DEFAULT_SHOTS = 100_000
+# the multinomial sampler draws int64 counts
+MAX_SHOTS = 2 ** 63 - 1
 
 
 # --------------------------------------------------------------------------
@@ -81,41 +84,27 @@ def plate_transmittance(refractive_index: float) -> float:
     return t
 
 
+def _plate_count(plate_count: int) -> int:
+    """The plate count as an int >= 1 (numpy integers are accepted)."""
+    try:
+        n = operator.index(plate_count)
+    except TypeError:
+        raise UsageError(f"plate_count must be an integer, got {plate_count!r}") from None
+    if n < 1:
+        raise UsageError(f"plate_count must be >= 1, got {n}")
+    return n
+
+
 def stack_transmittance(plate_count: int, refractive_index: float) -> float:
     """s amplitude transmittance t_s = t^N of an N-plate stack, t per plate."""
-    if plate_count < 1:
-        raise UsageError(f"plate_count must be >= 1, got {plate_count}")
+    n = _plate_count(plate_count)
     try:
-        return plate_transmittance(refractive_index) ** plate_count
+        return plate_transmittance(refractive_index) ** n
     except OverflowError:
-        raise UsageError(f"plate_count {plate_count} is too large") from None
+        raise UsageError(f"plate_count {n} is too large") from None
 
 
-@dataclass(frozen=True)
-class PreparedState:
-    """The post-selected pair state in the protocol's terms, and its yield.
-
-    The state is sqrt(w)|A+> (x) m+ + sign*sqrt(1-w)|A-> (x) m- with probe
-    overlap ``c = |<m+|m->|``; ``x = 2w - 1`` and ``y = sign*2 sqrt(w(1-w))``
-    are the object's A and B Bloch components in that form.
-    """
-
-    w_a_plus: float
-    c: float
-    x: float
-    y: float
-    success_probability: float
-
-    @property
-    def delta_a(self) -> float:
-        return abs(self.y)
-
-    @property
-    def delta_b(self) -> float:
-        return abs(self.x)
-
-
-def prepare(t_s: float, alpha: float) -> PreparedState:
+def prepare(t_s: float, alpha: float) -> tuple[float, float, float]:
     """Send the singlet's object photon through the polarizer and post-select.
 
     The stack passes its high axis, at ``alpha`` from the vertical |A+>
@@ -126,10 +115,13 @@ def prepare(t_s: float, alpha: float) -> PreparedState:
         x = k cos 2alpha,   delta_a = sqrt(a + k^2 sin^2 2alpha),
         y = sgn(sin 2alpha) delta_a,   c = k |sin 2alpha| / delta_a,
 
-    w = (1 + x)/2, and yield (1 + S)/2 >= 1/2, independent of alpha by
-    singlet isotropy. sqrt(a) = 2 t_s/(1 + S) is formed directly, so delta_a
-    keeps full relative precision for thick stacks. At delta_a = 0 (t_s = 0
-    at alpha = 0) the object is an A eigenstate and c is reported as 1.
+    and returns the Bloch triple (x, y, c) of the state
+    sqrt(w)|A+> (x) m+ + sgn(y) sqrt(1-w)|A-> (x) m-, w = (1 + x)/2, with
+    probe overlap c = |<m+|m->|. The post-selection yield is (1 + S)/2 >= 1/2,
+    independent of alpha by singlet isotropy. sqrt(a) = 2 t_s/(1 + S) is
+    formed directly, so delta_a keeps full relative precision for thick
+    stacks. At delta_a = 0 (t_s = 0 at alpha = 0) the object is an A
+    eigenstate and c is reported as 1.
     """
     if not 0.0 <= t_s <= 1.0:
         raise UsageError(f"need 0 <= t_s <= 1, got t_s={t_s}")
@@ -142,8 +134,7 @@ def prepare(t_s: float, alpha: float) -> PreparedState:
     x = k * cos2
     delta_a = math.hypot(2.0 * t_s / total, k * sin2)
     c = k * abs(sin2) / delta_a if delta_a > 0.0 else 1.0
-    return PreparedState(w_a_plus=0.5 * (1.0 + x), c=c, x=x, y=math.copysign(delta_a, sin2),
-                         success_probability=0.5 * total)
+    return x, math.copysign(delta_a, sin2), c
 
 
 # --------------------------------------------------------------------------
@@ -182,9 +173,11 @@ def threshold_index(plate_count: int) -> float:
     t_s_max for n > 1 gives n* = (1 + sqrt(1 - tau))/sqrt(tau) with
     tau = t_s_max^(1/N); for 7 plates n* = 1.5375383.
     """
-    if plate_count < 1:
-        raise UsageError(f"plate_count must be >= 1, got {plate_count}")
-    tau = _T_S_MAX ** (1.0 / plate_count)
+    n = _plate_count(plate_count)
+    try:
+        tau = _T_S_MAX ** (1.0 / n)
+    except OverflowError:
+        raise UsageError(f"plate_count {n} is too large") from None
     return (1.0 + math.sqrt(1.0 - tau)) / math.sqrt(tau)
 
 
@@ -278,32 +271,29 @@ class CoincidenceCounts:
         return self.n_pp + self.n_pm + self.n_mp + self.n_mm
 
 
-def sample_coincidences(p, shots: int, seed: int,
-                        visibility: float = 1.0) -> CoincidenceCounts:
-    """Draw seeded multinomial coincidence counts from the joint distribution.
+def sample_coincidences(p, shots: int, seed: int) -> CoincidenceCounts:
+    """Draw seeded multinomial coincidence counts from the joint distribution p.
 
-    A visibility V below 1 mixes the distribution with a uniform floor,
-    V p + (1 - V)/4, to mimic imperfect state purity. ``shots`` and
-    ``seed`` must be integers (numpy integers are accepted).
+    p is drawn as given, so it must sum to 1 within the sampler's own
+    tolerance of 1e-12; entries down to -1e-12 are rounding and count as 0.
+    ``shots`` and ``seed`` must be integers (numpy integers are accepted).
     """
     probs = np.asarray(p, dtype=float).ravel()
     if probs.shape != (4,):
         raise UsageError(f"expected 4 joint probabilities, got shape {probs.shape}")
-    if np.any(probs < -1e-12) or abs(probs.sum() - 1.0) > 1e-9:
+    clipped = np.clip(probs, 0.0, None)
+    # written so that a NaN fails it
+    if not (np.all(probs >= -1e-12) and abs(clipped.sum() - 1.0) <= 1e-12):
         raise UsageError(f"not a probability distribution: {probs} (sum {probs.sum():.12g})")
     try:
         shots, seed = operator.index(shots), operator.index(seed)
     except TypeError:
         raise UsageError(f"shots and seed must be integers, got {shots!r} and {seed!r}") from None
-    if shots < 1:
-        raise UsageError(f"shots must be >= 1, got {shots}")
+    if not 1 <= shots <= MAX_SHOTS:
+        raise UsageError(f"shots must be in 1..{MAX_SHOTS}, got {shots}")
     if seed < 0:
         raise UsageError(f"seed must be a non-negative integer, got {seed}")
-    if not 0.0 <= visibility <= 1.0:
-        raise UsageError(f"visibility must be in [0, 1], got {visibility}")
-    mixed = visibility * np.clip(probs, 0.0, None) + (1.0 - visibility) / 4.0
-    mixed = mixed / mixed.sum()
-    counts = np.random.default_rng(seed).multinomial(shots, mixed)
+    counts = np.random.default_rng(seed).multinomial(shots, clipped)
     return CoincidenceCounts(*counts.tolist())
 
 
@@ -372,10 +362,15 @@ def run_setting(x: float, y: float, c: float, shots: int, seed: int,
                 visibility: float = 1.0) -> tuple[CoincidenceCounts, UncertaintyReport]:
     """Simulate a coincidence run at Bloch components (x, y) and overlap c.
 
-    Samples `protocol.joint_distribution(x, y, c)` and reduces the counts
-    with the exact c as the measured overlap, i.e. a perfectly calibrated
-    one. Works for object eigenstates (x = +-1) too.
+    A visibility V below 1 shortens the Bloch vector to (V x, V y), the
+    white-noise mixture V rho + (1 - V) I/4 that mimics imperfect state
+    purity. Samples `protocol.joint_distribution(V x, V y, c)` and reduces
+    the counts with the exact c as the measured overlap, i.e. a perfectly
+    calibrated one. Works for object eigenstates (x = +-1) too.
     """
     protocol.probe_noise(c)  # a singular overlap cannot be rescaled
-    counts = sample_coincidences(protocol.joint_distribution(x, y, c), shots, seed, visibility)
+    if not 0.0 <= visibility <= 1.0:
+        raise UsageError(f"visibility must be in [0, 1], got {visibility}")
+    p = protocol.joint_distribution(visibility * x, visibility * y, c)
+    counts = sample_coincidences(p, shots, seed)
     return counts, estimate_report(counts, c)

@@ -152,8 +152,8 @@ def test_criterion_05_max_product():
     settings, _ = calibrated_settings()
     dominated = []
     for plates, alpha in settings:
-        st = experiment.prepare(stack_transmittance(plates, INDEX), alpha)
-        dominated.append(protocol.max_product(st.c) >= 1 + st.delta_a * st.delta_b)
+        x, y, c = experiment.prepare(stack_transmittance(plates, INDEX), alpha)
+        dominated.append(protocol.max_product(c) >= 1 + abs(y) * abs(x))
     ok = abs(symmetric - 2.0) <= 1e-12 and all(dominated) and len(dominated) > 0
     record(5, ok, f"max product: value at 1/sqrt(2) = {symmetric!r}, "
                   f"dominates the floor at {len(dominated)} calibrated settings")
@@ -163,15 +163,16 @@ def test_criterion_06_preparation_endpoints():
     """Aligned polarizer biases w only; perfect diagonal one entangles nothing."""
     worst_c, worst_w = 0.0, 0.0
     for t in (0.2, 0.32608476781953255, 0.7):
-        d = experiment.prepare(t, 0.0)
-        worst_c = max(worst_c, d.c)
-        worst_w = max(worst_w, abs(d.w_a_plus - 1 / (1 + t * t)))
-    d = experiment.prepare(0.0, math.pi / 4)
+        x, _, c = experiment.prepare(t, 0.0)
+        worst_c = max(worst_c, c)
+        worst_w = max(worst_w, abs(0.5 * (1 + x) - 1 / (1 + t * t)))
+    x, _, c = experiment.prepare(0.0, math.pi / 4)
+    w = 0.5 * (1 + x)
     ok = (worst_c <= 1e-12 and worst_w <= 1e-10
-          and d.c >= 1 - 1e-10 and abs(d.w_a_plus - 0.5) <= 1e-10)
+          and c >= 1 - 1e-10 and abs(w - 0.5) <= 1e-10)
     record(6, ok, f"preparation endpoints: aligned c <= {worst_c:.1e}, "
-                  f"|w - 1/(1+t^2)| <= {worst_w:.1e}; diagonal c = {d.c:.12f}, "
-                  f"w = {d.w_a_plus:.12f}")
+                  f"|w - 1/(1+t^2)| <= {worst_w:.1e}; diagonal c = {c:.12f}, "
+                  f"w = {w:.12f}")
 
 
 def test_criterion_07_calibration_six_settings():
@@ -187,9 +188,9 @@ def test_criterion_07_calibration_six_settings():
             continue
         per_stack[plates] = f"{len(roots)} roots"
         for alpha in roots:
-            st = experiment.prepare(stack_transmittance(plates, INDEX), alpha)
-            _, c_opt = protocol.min_product(st.delta_a, st.delta_b)
-            worst_residual = max(worst_residual, abs(st.c - c_opt))
+            x, y, c = experiment.prepare(stack_transmittance(plates, INDEX), alpha)
+            _, c_opt = protocol.min_product(abs(y), abs(x))
+            worst_residual = max(worst_residual, abs(c - c_opt))
     elapsed = time.perf_counter() - start
     ok = (all(v == "2 roots" for v in per_stack.values())
           and worst_residual < 1e-8 and elapsed < 5.0)
@@ -205,11 +206,11 @@ def test_criterion_08_monte_carlo_reproduces_the_floor():
     stats_ok = True
     details = []
     for plates, alpha in settings:
-        st = experiment.prepare(stack_transmittance(plates, INDEX), alpha)
-        target = 1 + st.delta_a * st.delta_b
+        x, y, c = experiment.prepare(stack_transmittance(plates, INDEX), alpha)
+        target = 1 + abs(y) * abs(x)
         hits = 0
         for k in range(20):
-            _, report = run_setting(st.x, st.y, st.c, shots=10 ** 6, seed=MC_SEED_BASE + k)
+            _, report = run_setting(x, y, c, shots=10 ** 6, seed=MC_SEED_BASE + k)
             err = abs(report.product_simultaneous - target)
             hits += err <= 3 * report.product_stderr
         stats_ok &= hits >= 19
@@ -226,10 +227,9 @@ def test_criterion_09_noise_direction():
     settings, infeasible = calibrated_settings()
     above = []
     for plates, alpha in settings:
-        st = experiment.prepare(stack_transmittance(plates, INDEX), alpha)
-        _, report = run_setting(st.x, st.y, st.c, shots=10 ** 6, seed=NOISE_SEED,
-                                visibility=0.95)
-        clean = protocol.unsharp_product(st.delta_a, st.delta_b, st.c)
+        x, y, c = experiment.prepare(stack_transmittance(plates, INDEX), alpha)
+        _, report = run_setting(x, y, c, shots=10 ** 6, seed=NOISE_SEED, visibility=0.95)
+        clean = protocol.unsharp_product(abs(y), abs(x), c)
         above.append(report.product_simultaneous > clean)
     ok = all(above) and len(above) == 6
     record(9, ok, f"noise direction at visibility 0.95: {sum(above)}/{len(above)} "

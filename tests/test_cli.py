@@ -474,6 +474,17 @@ GOLDEN = [
         "counts: (B+,M+) 509  (B+,M-) 448  (B-,M+) 38  (B-,M-) 5",
         "measured product = 1.11498504249  stderr = 0.0790232866666",
         "analytic product = 1.17793749461  minimum possible = 1.17793749461"), ""),
+    ("mc --plates 10 --root 2 --shots 10000 --seed 5 --visibility 0.9", 0, _lines(
+        "setting: w_a_plus = 0.590461615309  c = 0.919034164335  shots = 10000  seed = 5  "
+        "visibility = 0.9",
+        "counts: (B+,M+) 4737  (B+,M-) 4355  (B-,M+) 594  (B-,M-) 314",
+        "measured product = 1.58279619124  stderr = 0.0224856161159",
+        "analytic product = 1.17793749461  minimum possible = 1.17793749461"), ""),
+    ("mc --w 0.8 --c 0.6 --shots 1000 --seed 3 --visibility 0", 0, _lines(
+        "setting: w_a_plus = 0.8  c = 0.6  shots = 1000  seed = 3  visibility = 0",
+        "counts: (B+,M+) 247  (B+,M-) 244  (B-,M+) 268  (B-,M-) 241",
+        "measured product = 2.08205824688  stderr = 0.0023280759223",
+        "analytic product = 1.60333333333  minimum possible = 1.48"), ""),
     ("--config {cfg} mc --w 0.8 --c 0.6", 0, _lines(
         "setting: w_a_plus = 0.8  c = 0.6  shots = 5000  seed = 7  visibility = 0.95",
         "counts: (B+,M+) 2386  (B+,M-) 1221  (B-,M+) 1287  (B-,M-) 106",

@@ -59,8 +59,8 @@ def prepare_stack(plates, alpha, index=1.5):
 
 def optimality_residual(plates, alpha, index=1.5):
     """c - c_opt of the state the stack prepares at rotation alpha."""
-    st = prepare_stack(plates, alpha, index)
-    return st.c - protocol.min_product(st.delta_a, st.delta_b)[1]
+    x, y, c = prepare_stack(plates, alpha, index)
+    return c - protocol.min_product(abs(y), abs(x))[1]
 
 
 def cells(counts):
@@ -118,8 +118,8 @@ class TestSinglet:
         assert c == pytest.approx(0.0, abs=1e-12)
         assert sign == -1
         # an isotropic filter keeps the singlet
-        st = prepare(1.0, 0.3)
-        assert (st.w_a_plus, st.c, st.delta_a) == pytest.approx((0.5, 0.0, 1.0), abs=1e-15)
+        x, y, c = prepare(1.0, 0.3)
+        assert (x, c, abs(y)) == pytest.approx((0.0, 0.0, 1.0), abs=1e-15)
 
 
 class TestPlateTransmittance:
@@ -154,11 +154,15 @@ class TestPlateTransmittance:
 
     def test_stack_transmittance(self):
         assert stack_transmittance(7, 1.5) == plate_transmittance(1.5) ** 7
+        assert stack_transmittance(np.int64(7), 1.5) == stack_transmittance(7, 1.5)
         for plates in (0, -3):
             with pytest.raises(UsageError):
                 stack_transmittance(plates, 1.5)
-        with pytest.raises(UsageError):
+        with pytest.raises(UsageError, match="too large"):
             stack_transmittance(10 ** 400, 1.5)
+        for plates in (2.5, 7.0, "7"):
+            with pytest.raises(UsageError, match="must be an integer"):
+                stack_transmittance(plates, 1.5)
 
 
 class TestPolarizerOperator:
@@ -203,34 +207,33 @@ def reference_state(t_s, alpha):
 class TestPrepare:
     def test_aligned_polarizer_biases_w_only(self):
         for t in (0.2, 0.5, 0.9):
-            prep = prepare(t, 0.0)
-            assert prep.c <= 1e-12
-            assert prep.w_a_plus == pytest.approx(1 / (1 + t * t), abs=1e-10)
-            assert prep.w_a_plus > 0.5
+            x, _, c = prepare(t, 0.0)
+            assert c <= 1e-12
+            assert 0.5 * (1 + x) == pytest.approx(1 / (1 + t * t), abs=1e-10)
+            assert x > 0
 
     def test_perfect_diagonal_polarizer_entangles_nothing(self):
-        prep = prepare(0.0, math.pi / 4)
-        assert prep.c >= 1 - 1e-10
-        assert prep.w_a_plus == pytest.approx(0.5, abs=1e-10)
+        x, _, c = prepare(0.0, math.pi / 4)
+        assert c >= 1 - 1e-10
+        assert 0.5 * (1 + x) == pytest.approx(0.5, abs=1e-10)
 
     def test_perfect_aligned_polarizer_is_an_a_eigenstate(self):
-        prep = prepare(0.0, 0.0)
-        assert (prep.w_a_plus, prep.c, prep.delta_a) == (1.0, 1.0, 0.0)
+        assert prepare(0.0, 0.0) == (1.0, 0.0, 1.0)
         assert reference_state(0.0, 0.0)[:3] == (1.0, 1, 1.0)
 
     def test_general_setting_matches_closed_form(self):
-        prep = prepare(0.3, math.pi / 8)
+        x, _, c_prep = prepare(0.3, math.pi / 8)
         w, c = closed_form_cw(math.pi / 8, 0.3)
         assert w == pytest.approx(0.7951684270090633, abs=1e-12)
         assert c == pytest.approx(0.7313779906865137, abs=1e-12)
-        assert prep.w_a_plus == pytest.approx(w, abs=1e-10)
-        assert prep.c == pytest.approx(c, abs=1e-10)
+        assert 0.5 * (1 + x) == pytest.approx(w, abs=1e-10)
+        assert c_prep == pytest.approx(c, abs=1e-10)
 
     def test_yield_is_rotation_invariant(self):
+        # the post-selection yield (1 + t_s^2)/2 that `prepare` states
         t = plate_transmittance(1.5) ** 8
         expected = (1 + t * t) / 2
         for alpha in np.linspace(0, math.pi / 2, 101).tolist():
-            assert prepare(t, alpha).success_probability == pytest.approx(expected, abs=1e-10)
             assert reference_state(t, alpha)[3] == pytest.approx(expected, abs=1e-10)
 
     def test_state_consistent_with_decomposition(self):
@@ -238,43 +241,43 @@ class TestPrepare:
         t = stack_transmittance(7, 1.5)
         for _ in range(50):
             alpha = rng.uniform(0.01, math.pi / 4)
-            prep = prepare(t, alpha)
+            x, y, c_prep = prepare(t, alpha)
             w, sign, c, _, p = reference_state(t, alpha)
-            assert (prep.w_a_plus, prep.c) == pytest.approx((w, c), abs=1e-14)
-            assert prep.y == pytest.approx(sign * 2 * math.sqrt(w * (1 - w)), abs=1e-12)
-            assert prep.x == pytest.approx(2 * w - 1, abs=1e-14)
+            assert (0.5 * (1 + x), c_prep) == pytest.approx((w, c), abs=1e-14)
+            assert y == pytest.approx(sign * 2 * math.sqrt(w * (1 - w)), abs=1e-12)
+            assert x == pytest.approx(2 * w - 1, abs=1e-14)
             np.testing.assert_allclose(
-                protocol.joint_distribution(prep.x, prep.y, prep.c), p, rtol=0, atol=1e-14)
+                protocol.joint_distribution(x, y, c_prep), p, rtol=0, atol=1e-14)
 
     @settings(max_examples=400, deadline=None)
     @given(alpha=st.floats(-math.pi, math.pi), t_s=st.floats(0, 1))
     def test_matches_the_amplitude_route(self, alpha, t_s):
-        prep = prepare(t_s, alpha)
+        x, y, c_prep = prepare(t_s, alpha)
         w, sign, c, p_ok, p = reference_state(t_s, alpha)
-        assert prep.success_probability == pytest.approx(p_ok, rel=4 * sys.float_info.epsilon)
-        assert prep.w_a_plus == pytest.approx(w, abs=1e-15)
-        assert prep.x == pytest.approx(2 * w - 1, abs=1e-15)
-        assert 0.0 <= prep.c <= 1.0
-        if prep.delta_a < 1e-8:
+        assert p_ok == pytest.approx((1 + t_s * t_s) / 2, rel=4 * sys.float_info.epsilon)
+        assert 0.5 * (1 + x) == pytest.approx(w, abs=1e-15)
+        assert x == pytest.approx(2 * w - 1, abs=1e-15)
+        assert 0.0 <= c_prep <= 1.0
+        if abs(y) < 1e-8:
             # the reference reads a conditional below norm 1e-9 as an A
             # eigenstate (c = 1) whatever its overlap; both agree at delta_a = 0
-            assert prep.delta_a > 0 or (prep.c == c == 1.0)
+            assert y != 0 or (c_prep == c == 1.0)
             return
-        assert prep.c == pytest.approx(c, abs=1e-12)
-        assert prep.delta_a ** 2 + prep.x ** 2 == pytest.approx(1.0, abs=1e-15)
+        assert c_prep == pytest.approx(c, abs=1e-12)
+        assert y ** 2 + x ** 2 == pytest.approx(1.0, abs=1e-15)
         if c > 1e-9:
-            assert math.copysign(1, prep.y) == sign
+            assert math.copysign(1, y) == sign
         if p is not None:
             np.testing.assert_allclose(
-                protocol.joint_distribution(prep.x, prep.y, prep.c), p, rtol=0, atol=1e-9)
+                protocol.joint_distribution(x, y, c_prep), p, rtol=0, atol=1e-9)
 
     def test_continuity_in_alpha(self):
         # 1e-4-spaced rotation grid: no branch jumps in (c, w)
         alphas = np.arange(1e-4, math.pi / 4, 1e-4)
         t = plate_transmittance(1.5) ** 7
         cws = np.array([
-            (prep.c, prep.w_a_plus)
-            for prep in (prepare(t, float(a)) for a in alphas)])
+            (c, 0.5 * (1 + x))
+            for x, _, c in (prepare(t, float(a)) for a in alphas)])
         steps = np.abs(np.diff(cws, axis=0))
         assert steps.max() < 1e-3
 
@@ -286,12 +289,12 @@ class TestCalibrateAlpha:
             assert len(roots) == 2
             assert roots == sorted(roots)
             for alpha in roots:
-                st = prepare_stack(plates, alpha)
-                delta_a, delta_b = st.delta_a, st.delta_b
+                x, y, c = prepare_stack(plates, alpha)
+                delta_a, delta_b = abs(y), abs(x)
                 _, c_opt = protocol.min_product(delta_a, delta_b)
-                assert abs(st.c - c_opt) < 1e-8
+                assert abs(c - c_opt) < 1e-8
                 # at the root the achieved product touches its floor
-                product = protocol.unsharp_product(delta_a, delta_b, st.c)
+                product = protocol.unsharp_product(delta_a, delta_b, c)
                 assert product == pytest.approx(1 + delta_a * delta_b, abs=1e-8)
 
     def test_seven_plates_infeasible_at_default_index(self):
@@ -316,6 +319,11 @@ class TestCalibrateAlpha:
             calibrate_alpha(0)
         with pytest.raises(UsageError):
             threshold_index(0)
+        with pytest.raises(UsageError, match="too large"):
+            threshold_index(10 ** 400)
+        with pytest.raises(UsageError, match="must be an integer"):
+            threshold_index(2.5)
+        assert threshold_index(np.int64(7)) == threshold_index(7)
 
     @pytest.mark.parametrize("plates, expected", [
         # roots found by the former 2000-point scan with bisection to 1e-10
@@ -376,13 +384,6 @@ class TestSampling:
         for n in cells(counts):
             assert abs(n - shots / 4) < 5 * sigma
 
-    def test_zero_visibility_flattens_any_distribution(self):
-        shots = 10 ** 6
-        sigma = math.sqrt(shots * 3 / 16)
-        counts = sample_coincidences([0.9, 0.1, 0, 0], shots=shots, seed=11, visibility=0.0)
-        for n in cells(counts):
-            assert abs(n - shots / 4) < 5 * sigma
-
     def test_same_seed_same_counts(self):
         p = [0.4, 0.3, 0.2, 0.1]
         a = sample_coincidences(p, shots=10 ** 5, seed=123)
@@ -393,27 +394,22 @@ class TestSampling:
         counts = sample_coincidences([0.4, 0.3, 0.2, 0.1], shots=999, seed=5)
         assert counts.n_pp + counts.n_pm + counts.n_mp + counts.n_mm == 999
 
-    def test_chi_square_goodness_of_fit(self):
-        p = protocol.joint_distribution(*bloch(0.75), 0.6).ravel()
-        expected = (0.9 * p + 0.025) * 20000
-        for seed in range(100):
-            observed = cells(sample_coincidences(p, shots=20000, seed=seed, visibility=0.9))
-            chi2 = ((observed - expected) ** 2 / expected).sum()
-            assert chi2 < CHI2_CRIT_3DF
-
     def test_rejects_bad_distribution(self):
-        with pytest.raises(UsageError):
-            sample_coincidences([0.5, 0.5, 0.5, 0.5], shots=10, seed=0)
+        # the sampler draws p as given: its sum must be 1 to the
+        # multinomial draw's own tolerance of 1e-12
+        for p in ([0.5, 0.5, 0.5, 0.5], [math.nan, 0.5, 0.25, 0.25], [0.5 + 5e-10, 0.5, 0, 0],
+                  [0.25, 0.25, 0.25, 0.25 - 5e-10], [0.5, 0.5, 0, -1e-11]):
+            with pytest.raises(UsageError, match="not a probability distribution"):
+                sample_coincidences(p, shots=10, seed=0)
         with pytest.raises(UsageError):
             sample_coincidences([1, 0, 0, 0], shots=0, seed=0)
-        with pytest.raises(UsageError, match="visibility"):
-            sample_coincidences([1, 0, 0, 0], shots=10, seed=0, visibility=1.2)
 
     @pytest.mark.parametrize("shots, seed, match", [
         (10.7, 1, "must be integers"), ("10", 1, "must be integers"),
-        (10, 1.5, "must be integers"), (10, -1, "seed must be a non-negative integer")],
-        ids=["float shots", "string shots", "float seed", "negative seed"])
-    def test_rejects_non_integer_shots_and_bad_seeds(self, shots, seed, match):
+        (10, 1.5, "must be integers"), (10, -1, "seed must be a non-negative integer"),
+        (experiment.MAX_SHOTS + 1, 1, "shots must be in 1..")],
+        ids=["float shots", "string shots", "float seed", "negative seed", "shots past int64"])
+    def test_rejects_bad_shots_and_seeds(self, shots, seed, match):
         with pytest.raises(UsageError, match=match):
             sample_coincidences([0.25] * 4, shots, seed)
 
@@ -506,23 +502,43 @@ class TestEstimateReport:
 class TestRunSetting:
     def test_calibrated_setting_hits_the_floor(self):
         alpha = calibrate_alpha(10)[0]
-        st = prepare_stack(10, alpha)
-        _, report = run_setting(st.x, st.y, st.c, shots=10 ** 6, seed=77)
-        target = 1 + st.delta_a * st.delta_b
+        x, y, c = prepare_stack(10, alpha)
+        _, report = run_setting(x, y, c, shots=10 ** 6, seed=77)
+        target = 1 + abs(y) * abs(x)
         z = abs(report.product_simultaneous - target) / report.product_stderr
         assert z < 3.0
 
     def test_aligned_setting_is_singular(self):
-        st = prepare_stack(8, 0.0)
         with pytest.raises(RescalingSingularError):
-            run_setting(st.x, st.y, st.c, shots=100, seed=1)
+            run_setting(*prepare_stack(8, 0.0), shots=100, seed=1)
 
     def test_determinism(self):
         alpha = calibrate_alpha(10)[1]
-        st = prepare_stack(10, alpha)
-        a = run_setting(st.x, st.y, st.c, shots=10 ** 5, seed=4242)
-        b = run_setting(st.x, st.y, st.c, shots=10 ** 5, seed=4242)
+        state = prepare_stack(10, alpha)
+        a = run_setting(*state, shots=10 ** 5, seed=4242)
+        b = run_setting(*state, shots=10 ** 5, seed=4242)
         assert a == b
+
+    def test_zero_visibility_flattens_any_state(self):
+        shots = 10 ** 6
+        sigma = math.sqrt(shots * 3 / 16)
+        counts, _ = run_setting(*bloch(0.95), 0.6, shots=shots, seed=11, visibility=0.0)
+        for n in cells(counts):
+            assert abs(n - shots / 4) < 5 * sigma
+
+    def test_chi_square_goodness_of_fit(self):
+        # V = 0.9 mixes in white noise: V p + (1 - V)/4
+        p = protocol.joint_distribution(*bloch(0.75), 0.6).ravel()
+        expected = (0.9 * p + 0.025) * 20000
+        for seed in range(100):
+            counts, _ = run_setting(*bloch(0.75), 0.6, shots=20000, seed=seed, visibility=0.9)
+            chi2 = ((cells(counts) - expected) ** 2 / expected).sum()
+            assert chi2 < CHI2_CRIT_3DF
+
+    @pytest.mark.parametrize("visibility", [1.2, -0.1, math.nan])
+    def test_rejects_bad_visibility(self, visibility):
+        with pytest.raises(UsageError, match="visibility"):
+            run_setting(*bloch(0.7), 0.5, shots=10, seed=0, visibility=visibility)
 
     def test_explicit_state_rejects_singular_overlap(self):
         with pytest.raises(RescalingSingularError):

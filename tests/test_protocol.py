@@ -368,6 +368,16 @@ class TestClosedFormProperties:
         assert abs(obj_diff - c * y) <= 4 * EPS
 
     @settings(max_examples=400, deadline=None)
+    @given(w=st.floats(0, 1), sign=st.sampled_from([1, -1]), c=st.floats(0, 1),
+           v=st.floats(0, 1))
+    def test_visibility_shortens_the_bloch_vector(self, w, sign, c, v):
+        # the white-noise mixture V rho + (1 - V) I/4 is the state at (V x, V y)
+        x, y = bloch(w, sign)
+        mixed = v * joint_distribution(x, y, c) + (1 - v) / 4
+        np.testing.assert_allclose(joint_distribution(v * x, v * y, c), mixed,
+                                   rtol=0, atol=2 * EPS)
+
+    @settings(max_examples=400, deadline=None)
     @given(w=st.floats(0, 1), c=st.floats(1e-150, 1, exclude_max=True))
     def test_product_above_its_floor(self, w, c):
         da, db = sharp_deltas(w)
