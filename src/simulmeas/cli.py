@@ -53,7 +53,7 @@ MAX_GRID = 10 ** 6
 
 # the settings a config file may pin, and their defaults; a file value is
 # parsed with its default's type
-SETTINGS = {"seed": 20251, "shots": experiment.DEFAULT_SHOTS, "visibility": 1.0,
+SETTINGS = {"seed": 20251, "shots": 100_000, "visibility": 1.0,
             "index": experiment.DEFAULT_REFRACTIVE_INDEX, "grid": 201, "format": "csv"}
 
 
@@ -72,9 +72,9 @@ def _json_value(x):
 # configuration
 
 def load_config_file(path: str) -> dict:
-    """Parse ``key = value`` lines; '#' starts a comment."""
+    """Parse ``key = value`` lines; '#' starts a comment, a leading BOM is skipped."""
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        with open(path, "r", encoding="utf-8-sig") as fh:
             lines = fh.readlines()
     except UnicodeDecodeError as exc:
         raise UsageError(f"{path}: not a UTF-8 text file ({exc})") from exc
@@ -205,8 +205,7 @@ def cmd_state(args) -> int:
     print(f"numeric scan: c_best = {_fmt(c_best)}  product_best = {_fmt(product_best)}{flag}")
     print(f"max product at c = {_fmt(args.c)}: {_fmt(protocol.max_product(args.c))}")
     if args.c < 0.01 or args.c > 0.99:
-        print("warning: c is near a singular boundary; one rescaled eigenvalue is very large",
-              file=sys.stderr)
+        warnings.warn("c is near a singular boundary; one rescaled eigenvalue is very large")
     return EXIT_OK
 
 

@@ -54,7 +54,6 @@ __all__ = [
 ]
 
 DEFAULT_REFRACTIVE_INDEX = 1.5
-DEFAULT_SHOTS = 100_000
 # the multinomial sampler draws int64 counts
 MAX_SHOTS = 2 ** 63 - 1
 

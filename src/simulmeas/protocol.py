@@ -29,13 +29,13 @@ pair, with inferred uncertainties
 
 whose product is minimized to 1 + delta_a*delta_b at
 c = sqrt(delta_a/(delta_a + delta_b)). This module implements these closed
-forms, both product extrema, a brute-force scan that cross-checks the
-optimum, and the constructive argument, in Bloch components, that no
-single von Neumann measurement can do the same job. A state is the plain
-pair (w, sign), and `sharp_deltas` is the one check that w lies in
-[0, 1]. The module does no amplitude arithmetic: the closed forms take
-floats or numpy arrays alike, and their amplitude-level derivation, Pauli
-matrices included, lives in `qmath`, which only the tests use.
+forms, both product extrema and a brute-force scan that cross-checks the
+optimum. A state is the plain pair (w, sign), and `sharp_deltas` is the
+one check that w lies in [0, 1]. The module does no amplitude arithmetic:
+the closed forms take floats or numpy arrays alike, and their
+amplitude-level derivation lives in `qmath`, which only the tests use,
+together with the argument that no single von Neumann measurement can do
+the same job.
 
 Conventions: |A+> = (1, 0), |A-> = (0, 1); |B+/-> = (|A+> +/- |A->)/sqrt(2).
 All uncertainties are normalized by the eigenvalue magnitudes.
@@ -44,14 +44,12 @@ All uncertainties are normalized by the eigenvalue magnitudes.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import RescalingSingularError, UsageError
 
 __all__ = [
-    "VonNeumannCounterexample",
     "b_probabilities",
     "sharp_deltas",
     "joint_distribution",
@@ -61,7 +59,6 @@ __all__ = [
     "min_product",
     "max_product",
     "numeric_c_scan",
-    "von_neumann_counterexample",
 ]
 
 
@@ -206,61 +203,3 @@ def numeric_c_scan(w_a_plus: float) -> tuple[float, float, bool]:
     hi = grid[min(k + 1, _SCAN_POINTS - 1)]
     c_best = _golden_min(product, lo, hi)
     return (float(c_best), float(product(c_best)), boundary)
-
-
-# --------------------------------------------------------------------------
-# why a single projective measurement cannot work
-
-@dataclass(frozen=True, eq=False)
-class VonNeumannCounterexample:
-    """Two equatorial states (w, sign) a projective measurement cannot tell apart."""
-
-    state_q: tuple[float, int]
-    state_minus_q: tuple[float, int]
-    mean_gap_a: float
-    mean_gap_b: float
-
-
-def _equatorial_from_bloch(x: float, y: float) -> tuple[float, int]:
-    return (min(max(0.5 * (1.0 + x), 0.0), 1.0), +1 if y >= 0.0 else -1)
-
-
-def von_neumann_counterexample(measurement_axis) -> VonNeumannCounterexample:
-    """Two equatorial states no projective measurement along the axis can separate.
-
-    Any measurement direction D defines a plane of states through the Bloch
-    sphere's center with identical outcome statistics. That plane crosses
-    the equator at antipodal points q and -q; the corresponding states agree
-    on every D outcome probability yet differ in the mean of A, of B, or
-    both, so no single sharp measurement can report correct means for both
-    observables on all states. D along the A or B axis is excluded: the
-    construction needs a direction distinct from both observables.
-
-    For a unit axis d, q = (-d_B, d_A, 0)/hypot(d_A, d_B), so d.q = 0 and
-    both states give P(+) = (1 +- d.q)/2 = 1/2; their means differ by 2|q_A|
-    in A and 2|q_B| in B. Where that norm is below 1e-12, near the polar
-    axis, q = (1, 0, 0) and d.q = d_A is below 1e-12. The returned
-    (w, sign) states carry q only to the precision of w: near the A
-    eigenstates their B component is rounded by about eps/delta_a.
-    """
-    d = np.asarray(measurement_axis, dtype=float)
-    if d.shape != (3,) or not np.all(np.isfinite(d)):
-        raise UsageError("measurement_axis must be a finite 3-vector")
-    if abs(np.linalg.norm(d) - 1.0) > 1e-9:
-        raise UsageError(f"measurement_axis must be unit length, |d| = {np.linalg.norm(d):.6g}")
-    for axis_name, axis in (("A", np.array([1.0, 0.0, 0.0])),
-                            ("B", np.array([0.0, 1.0, 0.0]))):
-        if min(np.linalg.norm(d - axis), np.linalg.norm(d + axis)) < 1e-9:
-            raise UsageError(
-                f"measurement axis coincides with the {axis_name} axis; "
-                "the construction requires a direction distinct from both observables")
-
-    d_a, d_b = float(d[0]), float(d[1])
-    norm = math.hypot(d_a, d_b)
-    # polar axis: the whole equator is equiprobable, any antipodal pair works
-    q_a, q_b = (-d_b / norm, d_a / norm) if norm >= 1e-12 else (1.0, 0.0)
-    return VonNeumannCounterexample(
-        state_q=_equatorial_from_bloch(q_a, q_b),
-        state_minus_q=_equatorial_from_bloch(-q_a, -q_b),
-        mean_gap_a=2.0 * abs(q_a), mean_gap_b=2.0 * abs(q_b),
-    )

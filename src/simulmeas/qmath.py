@@ -11,10 +11,12 @@ independent route:
     (w, sign, c, m+, m-) -> equal-angle probe basis M+/-
     -> p[i, j] = |<B_i (x) M_j|psi>|^2.
 
-It is also the Pauli-matrix reference for the von Neumann argument in
-`protocol`: Bloch components as expectation values <psi|sigma|psi>, and the
-outcome probability of a projective measurement along an axis d from the
-projector (1 + d.sigma)/2.
+It also holds the argument, in Bloch components, that no single von
+Neumann measurement can do the protocol's job (`von_neumann_counterexample`),
+next to the Pauli-matrix route the tests check it against: Bloch
+components as expectation values <psi|sigma|psi>, and the outcome
+probability of a projective measurement along an axis d from the projector
+(1 + d.sigma)/2.
 
 Vectors are numpy arrays of ``complex128``: length 2 for a single qubit,
 length 4 for the object-probe pair, object index major:
@@ -28,6 +30,7 @@ Everything here is a pure function of its inputs.
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -96,6 +99,61 @@ def axis_probability(amplitudes, axis) -> float:
     v = require_state(amplitudes, what="qubit state")
     projector = 0.5 * (np.eye(2) + sum(d * op for d, op in zip(axis, PAULI)))
     return float(np.vdot(v, projector @ v).real)
+
+
+@dataclass(frozen=True, eq=False)
+class VonNeumannCounterexample:
+    """Two equatorial states (w, sign) a projective measurement cannot tell apart."""
+
+    state_q: tuple[float, int]
+    state_minus_q: tuple[float, int]
+    mean_gap_a: float
+    mean_gap_b: float
+
+
+def _equatorial_from_bloch(x: float, y: float) -> tuple[float, int]:
+    return (min(max(0.5 * (1.0 + x), 0.0), 1.0), +1 if y >= 0.0 else -1)
+
+
+def von_neumann_counterexample(measurement_axis) -> VonNeumannCounterexample:
+    """Two equatorial states no projective measurement along the axis can separate.
+
+    Any measurement direction D defines a plane of states through the Bloch
+    sphere's center with identical outcome statistics. That plane crosses
+    the equator at antipodal points q and -q; the corresponding states agree
+    on every D outcome probability yet differ in the mean of A, of B, or
+    both, so no single sharp measurement can report correct means for both
+    observables on all states. D along the A or B axis is excluded: the
+    construction needs a direction distinct from both observables.
+
+    For a unit axis d, q = (-d_B, d_A, 0)/hypot(d_A, d_B), so d.q = 0 and
+    both states give P(+) = (1 +- d.q)/2 = 1/2; their means differ by 2|q_A|
+    in A and 2|q_B| in B. Where that norm is below 1e-12, near the polar
+    axis, q = (1, 0, 0) and d.q = d_A is below 1e-12. The returned
+    (w, sign) states carry q only to the precision of w: near the A
+    eigenstates their B component is rounded by about eps/delta_a.
+    """
+    d = np.asarray(measurement_axis, dtype=float)
+    if d.shape != (3,) or not np.all(np.isfinite(d)):
+        raise UsageError("measurement_axis must be a finite 3-vector")
+    if abs(np.linalg.norm(d) - 1.0) > 1e-9:
+        raise UsageError(f"measurement_axis must be unit length, |d| = {np.linalg.norm(d):.6g}")
+    for axis_name, axis in (("A", np.array([1.0, 0.0, 0.0])),
+                            ("B", np.array([0.0, 1.0, 0.0]))):
+        if min(np.linalg.norm(d - axis), np.linalg.norm(d + axis)) < 1e-9:
+            raise UsageError(
+                f"measurement axis coincides with the {axis_name} axis; "
+                "the construction requires a direction distinct from both observables")
+
+    d_a, d_b = float(d[0]), float(d[1])
+    length = math.hypot(d_a, d_b)
+    # polar axis: the whole equator is equiprobable, any antipodal pair works
+    q_a, q_b = (-d_b / length, d_a / length) if length >= 1e-12 else (1.0, 0.0)
+    return VonNeumannCounterexample(
+        state_q=_equatorial_from_bloch(q_a, q_b),
+        state_minus_q=_equatorial_from_bloch(-q_a, -q_b),
+        mean_gap_a=2.0 * abs(q_a), mean_gap_b=2.0 * abs(q_b),
+    )
 
 
 def apply_to_object(op, s) -> np.ndarray:

@@ -1,6 +1,10 @@
 import json
 import math
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -49,6 +53,12 @@ class TestStateCommand:
         assert code == 0
         assert "boundary" in out  # scan flags the edge minimizer
         assert "singular boundary" in err
+
+    def test_boundary_warning_goes_through_warnings(self):
+        # the path every "warning:" line takes, so a caller can collect them
+        args = cli.build_parser().parse_args(["state", "--w", "0.5", "--c", "0.999"])
+        with pytest.warns(UserWarning, match=BOUNDARY):
+            cli.cmd_state(args)
 
     def test_singular_overlap_exits_nonzero(self, capsys):
         code, _, err = run(capsys, "state", "--w", "0.3", "--c", "0")
@@ -384,6 +394,17 @@ class TestConfigFile:
         capsys.readouterr()
         assert out_b.read_text().strip().splitlines()[1].split(",")[3] == "8"
 
+    def test_file_with_a_byte_order_mark(self, capsys, tmp_path):
+        # some editors start a UTF-8 file with U+FEFF; it is not part of the first key
+        text = "seed = 7\nshots = 5000\n"
+        plain, marked = tmp_path / "plain.cfg", tmp_path / "marked.cfg"
+        plain.write_text(text, encoding="utf-8")
+        marked.write_text(text, encoding="utf-8-sig")
+        code, out, err = run(capsys, "--config", str(plain), "mc", "--w", "0.8", "--c", "0.6")
+        assert (code, err) == (0, "") and "shots = 5000  seed = 7" in out
+        assert run(capsys, "--config", str(marked), "mc", "--w", "0.8", "--c", "0.6") == (
+            code, out, err)
+
     def test_unknown_key_rejected(self, capsys, tmp_path):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text("sede = 7\n")
@@ -510,6 +531,35 @@ def test_golden_transcript(capsys, tmp_path, argv, code, out, err):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("seed = 7\nshots = 5000\nvisibility = 0.95\n")
     assert run(capsys, *argv.format(cfg=cfg).split()) == (code, out, err)
+
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def run_python(tmp_path, *args):
+    """Run a fresh interpreter that finds the package in ``src``."""
+    return subprocess.run([sys.executable, *args], cwd=tmp_path, capture_output=True,
+                          text=True, timeout=60, env=dict(os.environ, PYTHONPATH=str(SRC)))
+
+
+@pytest.mark.parametrize("module", ["simulmeas", "simulmeas.cli"])
+def test_python_dash_m(tmp_path, module):
+    argv = "calibrate --plates 10"
+    proc = run_python(tmp_path, "-m", module, *argv.split())
+    expected = next(out for case, _, out, _ in GOLDEN if case == argv)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, expected, "")
+
+
+def test_import_structure(tmp_path):
+    # the package module loads no submodule, and the CLI never loads the
+    # test-only reference
+    proc = run_python(tmp_path, "-c", (
+        "import sys\n"
+        "import simulmeas\n"
+        "print(sorted(m for m in sys.modules if m.startswith('simulmeas.')))\n"
+        "import simulmeas.cli\n"
+        "print('simulmeas.qmath' in sys.modules)\n"))
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[]\nFalse\n", "")
 
 
 def _huge(n_digits=400):

@@ -103,25 +103,6 @@ def fraction_reduction(n, c):
             2 / c * math.sqrt(b_var))
 
 
-class TestSinglet:
-    # the source state of the amplitude-level reference
-    def test_components(self):
-        np.testing.assert_allclose(qmath.singlet(),
-                                   np.array([0, 1, -1, 0]) / np.sqrt(2), atol=1e-15)
-
-    def test_normalized(self):
-        assert qmath.norm(qmath.singlet()) == pytest.approx(1.0, abs=1e-15)
-
-    def test_decomposition(self):
-        w, sign, c, _, _ = qmath.decompose(qmath.singlet())
-        assert w == pytest.approx(0.5, abs=1e-12)
-        assert c == pytest.approx(0.0, abs=1e-12)
-        assert sign == -1
-        # an isotropic filter keeps the singlet
-        x, y, c = prepare(1.0, 0.3)
-        assert (x, c, abs(y)) == pytest.approx((0.0, 0.0, 1.0), abs=1e-15)
-
-
 class TestPlateTransmittance:
     @pytest.mark.parametrize("n", [1.2, 1.5, 1.7, 2.0])
     def test_matches_fresnel_oracle(self, n):
@@ -165,30 +146,15 @@ class TestPlateTransmittance:
                 stack_transmittance(plates, 1.5)
 
 
-class TestPolarizerOperator:
-    # the Jones operator of the amplitude-level reference
-    def test_aligned_attenuates_minus_axis(self):
-        np.testing.assert_allclose(qmath.polarizer_operator(0.0, 0.4), np.diag([1.0, 0.4]),
-                                   atol=1e-15)
+def reference_state(t_s, alpha):
+    """(w, sign, c, yield, p) of the setting by the amplitude route."""
+    return qmath.prepared_joint(alpha, t_s)
 
-    def test_perfect_polarizer_is_projector(self):
-        np.testing.assert_allclose(qmath.polarizer_operator(math.pi / 4, 0.0),
-                                   np.full((2, 2), 0.5), atol=1e-15)
 
-    def test_explicit_rotation_sandwich(self):
-        expected = np.array([[0.875, 0.21650635094610965],
-                             [0.21650635094610965, 0.625]])
-        np.testing.assert_allclose(qmath.polarizer_operator(math.pi / 6, 0.5), expected,
-                                   atol=1e-15)
-
-    def test_hermitian_with_transmittance_eigenvalues(self):
-        rng = np.random.default_rng(21)
-        for _ in range(50):
-            alpha, t_s = rng.uniform(0, math.pi), rng.uniform(0, 1)
-            op = qmath.polarizer_operator(alpha, t_s)
-            np.testing.assert_allclose(op, op.conj().T, rtol=0, atol=1e-15)
-            axis = np.array([math.cos(alpha), math.sin(alpha)])
-            np.testing.assert_allclose(op @ axis, axis, atol=1e-12)
+class TestPrepare:
+    def test_isotropic_filter_keeps_the_singlet(self):
+        x, y, c = prepare(1.0, 0.3)
+        assert (x, c, abs(y)) == pytest.approx((0.0, 0.0, 1.0), abs=1e-15)
 
     def test_config_validation(self):
         for t_s, alpha in ((-0.1, 0.0), (1.5, 0.0), (math.nan, 0.0),
@@ -198,13 +164,6 @@ class TestPolarizerOperator:
         with pytest.raises(UsageError):
             prepare_stack(3, 0.1, index=0.9)
 
-
-def reference_state(t_s, alpha):
-    """(w, sign, c, yield, p) of the setting by the amplitude route."""
-    return qmath.prepared_joint(alpha, t_s)
-
-
-class TestPrepare:
     def test_aligned_polarizer_biases_w_only(self):
         for t in (0.2, 0.5, 0.9):
             x, _, c = prepare(t, 0.0)
