@@ -359,8 +359,13 @@ def main(argv=None) -> int:
             return EXIT_SINGULAR
         except CalibrationInfeasibleError as exc:
             print(f"error: {exc}", file=sys.stderr)
-            print(f"diagnostic: margin k^2 - k_min^2 = {exc.margin:+.7f}; this plate count "
-                  f"calibrates above index n* = {exc.threshold_index:.7f}", file=sys.stderr)
+            # a positive margin puts the index above n* already: rounding, not
+            # leakage, lost the roots
+            why = ("the stack is feasible, but double precision cannot resolve its roots"
+                   if exc.margin > 0.0 else
+                   f"this plate count calibrates above index n* = {exc.threshold_index:.7f}")
+            print(f"diagnostic: margin k^2 - k_min^2 = {exc.margin:+.7f}; {why}",
+                  file=sys.stderr)
             return EXIT_INFEASIBLE
         except OSError as exc:
             print(f"i/o error: {exc}", file=sys.stderr)

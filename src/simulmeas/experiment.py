@@ -229,11 +229,11 @@ def calibrate_alpha(plate_count: int,
                else "the stack is too leaky (k^2 below k_min^2)")
         raise CalibrationInfeasibleError(
             f"no rotation angle reaches the optimal product for {plate_count} plates "
-            f"at index {refractive_index:g}: {why}",
+            f"at index {refractive_index:.12g}: {why}",
             margin=margin, threshold_index=threshold_index(plate_count))
     if len(roots) != 2:
         warnings.warn(
-            f"{plate_count} plates at index {refractive_index:g}: expected 2 calibration "
+            f"{plate_count} plates at index {refractive_index:.12g}: expected 2 calibration "
             f"roots, found {len(roots)}", stacklevel=2)
     return roots
 

@@ -161,14 +161,15 @@ def max_product(c):
 _INV_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 _SCAN_EDGE = 1e-4
 _SCAN_POINTS = 1000
+_GOLDEN_TOL = 1e-10
 
 
-def _golden_min(f, lo: float, hi: float, tol: float = 1e-10) -> float:
+def _golden_min(f, lo: float, hi: float) -> float:
     # standard golden-section bracket shrink; f assumed unimodal on [lo, hi]
     x1 = hi - _INV_GOLDEN * (hi - lo)
     x2 = lo + _INV_GOLDEN * (hi - lo)
     f1, f2 = f(x1), f(x2)
-    while hi - lo > tol:
+    while hi - lo > _GOLDEN_TOL:
         if f1 <= f2:
             hi, x2, f2 = x2, x1, f1
             x1 = hi - _INV_GOLDEN * (hi - lo)

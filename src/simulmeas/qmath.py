@@ -18,10 +18,14 @@ components as expectation values <psi|sigma|psi>, and the outcome
 probability of a projective measurement along an axis d from the projector
 (1 + d.sigma)/2.
 
-Vectors are numpy arrays of ``complex128``: length 2 for a single qubit,
-length 4 for the object-probe pair, object index major:
+Vectors are real ``float64`` numpy arrays, since the optics (a singlet and
+a partial polarizer with a real Jones operator) produce no complex
+amplitude: length 2 for a single qubit, length 4 for the object-probe pair,
+object index major:
 
     (obj0*probe0, obj0*probe1, obj1*probe0, obj1*probe1)
+
+Only the Pauli route is complex, because sigma_N is imaginary.
 
 Conventions: |A+> = (1, 0), |A-> = (0, 1); |B+/-> = (|A+> +/- |A->)/sqrt(2).
 Everything here is a pure function of its inputs.
@@ -36,51 +40,7 @@ import numpy as np
 
 from .errors import UsageError
 
-# Shared absolute tolerance for exact-arithmetic identities (normalization,
-# orthogonality). Callers may pass a looser/tighter value.
-ATOL = 1e-12
-
-B_BASIS = (np.array([1.0, 1.0], dtype=complex) / math.sqrt(2.0),
-           np.array([1.0, -1.0], dtype=complex) / math.sqrt(2.0))
-
-
-def vec(components) -> np.ndarray:
-    """Coerce to a finite complex vector of dimension 2 or 4."""
-    v = np.asarray(components, dtype=complex)
-    if v.ndim != 1 or v.shape[0] not in (2, 4):
-        raise UsageError(f"expected a 2- or 4-component vector, got shape {v.shape}")
-    if not np.all(np.isfinite(v.view(float))):
-        raise UsageError("vector has non-finite components")
-    return v
-
-
-def inner(a, b) -> complex:
-    """Inner product, conjugate-linear in the first argument."""
-    a = np.asarray(a, dtype=complex)
-    b = np.asarray(b, dtype=complex)
-    if a.shape != b.shape:
-        raise UsageError(f"dimension mismatch: {a.shape} vs {b.shape}")
-    return complex(np.vdot(a, b))
-
-
-def norm(a) -> float:
-    return float(np.linalg.norm(np.asarray(a, dtype=complex)))
-
-
-def normalize(a) -> np.ndarray:
-    a = np.asarray(a, dtype=complex)
-    n = np.linalg.norm(a)
-    if n < 1e-15:
-        raise UsageError("cannot normalize a (near-)zero vector")
-    return a / n
-
-
-def require_state(a, atol: float = ATOL, what: str = "vector") -> np.ndarray:
-    v = vec(a)
-    if abs(np.linalg.norm(v) - 1.0) > atol:
-        raise UsageError(f"{what} is not normalized: |norm - 1| = {abs(norm(v) - 1.0):.3e}")
-    return v
-
+B_BASIS = (np.array([1.0, 1.0]) / math.sqrt(2.0), np.array([1.0, -1.0]) / math.sqrt(2.0))
 
 # Pauli matrices along the A axis, the B axis and the normal to the A-B plane
 PAULI = (np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex),
@@ -90,13 +50,13 @@ PAULI = (np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex),
 
 def pauli_expectations(amplitudes) -> np.ndarray:
     """Bloch components <sigma> of a qubit state in the (A axis, B axis, normal) frame."""
-    v = require_state(amplitudes, what="qubit state")
+    v = np.asarray(amplitudes, dtype=complex)
     return np.array([np.vdot(v, op @ v).real for op in PAULI])
 
 
 def axis_probability(amplitudes, axis) -> float:
     """P(+) of a projective measurement along the unit axis: <(1 + axis.sigma)/2>."""
-    v = require_state(amplitudes, what="qubit state")
+    v = np.asarray(amplitudes, dtype=complex)
     projector = 0.5 * (np.eye(2) + sum(d * op for d, op in zip(axis, PAULI)))
     return float(np.vdot(v, projector @ v).real)
 
@@ -156,49 +116,35 @@ def von_neumann_counterexample(measurement_axis) -> VonNeumannCounterexample:
     )
 
 
-def apply_to_object(op, s) -> np.ndarray:
-    """Apply a 2x2 operator to the object factor of a pair state.
-
-    Returns (op (x) identity) s, possibly unnormalized: lossy operators
-    (partial polarizers) are allowed.
-    """
-    m = np.asarray(op, dtype=complex)
-    if m.shape != (2, 2):
-        raise UsageError(f"expected a 2x2 operator, got shape {m.shape}")
-    v = require_state(s, what="pair state")
-    if v.shape[0] != 4:
-        raise UsageError("apply_to_object expects a 4-component state")
-    return (m @ v.reshape(2, 2)).ravel()
-
-
 # --------------------------------------------------------------------------
 # the optics
 
 def singlet() -> np.ndarray:
     """Post-selected two-photon polarization singlet, (0, 1, -1, 0)/sqrt(2)."""
-    return np.array([0.0, 1.0, -1.0, 0.0], dtype=complex) / math.sqrt(2.0)
+    return np.array([0.0, 1.0, -1.0, 0.0]) / math.sqrt(2.0)
 
 
 def polarizer_operator(alpha: float, t_s: float) -> np.ndarray:
     """Jones operator of the stack rotated by alpha, in the A basis.
 
-    R(alpha) diag(1, t_s) R(-alpha): Hermitian with eigenvalues {1, t_s};
+    R(alpha) diag(1, t_s) R(-alpha): symmetric with eigenvalues {1, t_s};
     the lossless eigenvector is the high-transmission axis at angle alpha
     from |A+>.
     """
     c, s = math.cos(alpha), math.sin(alpha)
     rot = np.array([[c, -s], [s, c]])
-    return (rot @ np.diag([1.0, t_s]) @ rot.T).astype(complex)
+    return rot @ np.diag([1.0, t_s]) @ rot.T
 
 
 def post_select(alpha: float, t_s: float) -> tuple[np.ndarray, float]:
     """The singlet after its object photon crosses the polarizer: (state, yield).
 
-    The yield is the squared norm of the filtered singlet, at least 1/2
-    since the high axis passes without loss; the state is normalized.
+    The filter acts on the object factor, (op (x) 1) singlet. The yield is
+    the squared norm of the filtered singlet, at least 1/2 since the high
+    axis passes without loss; the state is normalized.
     """
-    raw = apply_to_object(polarizer_operator(alpha, t_s), singlet())
-    p_ok = float(np.vdot(raw, raw).real)
+    raw = (polarizer_operator(alpha, t_s) @ singlet().reshape(2, 2)).ravel()
+    p_ok = float(raw @ raw)
     return raw / math.sqrt(p_ok), p_ok
 
 
@@ -207,14 +153,14 @@ def post_select(alpha: float, t_s: float) -> tuple[np.ndarray, float]:
 
 def equatorial(w: float, sign: int) -> np.ndarray:
     """sqrt(w)|A+> + sign*sqrt(1-w)|A->, the object state `protocol` calls (w, sign)."""
-    return vec([math.sqrt(w), sign * math.sqrt(1.0 - w)])
+    return np.array([math.sqrt(w), sign * math.sqrt(1.0 - w)])
 
 
 def conditional_pair(c: float) -> tuple[np.ndarray, np.ndarray]:
-    """Real unit probe states symmetric about (1, 0) with overlap c in [0, 1]."""
+    """Unit probe states symmetric about (1, 0) with overlap c in [0, 1]."""
     half = 0.5 * math.acos(c)
-    return (np.array([math.cos(half), math.sin(half)], dtype=complex),
-            np.array([math.cos(half), -math.sin(half)], dtype=complex))
+    return (np.array([math.cos(half), math.sin(half)]),
+            np.array([math.cos(half), -math.sin(half)]))
 
 
 def entangle(w: float, sign: int, c: float) -> np.ndarray:
@@ -227,7 +173,7 @@ def entangle(w: float, sign: int, c: float) -> np.ndarray:
 
 
 def decompose(state) -> tuple[float, int, float, np.ndarray, np.ndarray]:
-    """Read a real pair state back into (w, sign, c, m+, m-).
+    """Read a unit pair state back into (w, sign, c, m+, m-).
 
     m+/- are the normalized conditional probe states and c = <m+|m->; the
     sign of the raw overlap is moved into ``sign`` so c >= 0 (at zero
@@ -235,21 +181,18 @@ def decompose(state) -> tuple[float, int, float, np.ndarray, np.ndarray]:
     conditional has norm below 1e-9 the object is in an A eigenstate: its
     conditional stands in for both and c is reported as 1.
     """
-    v = require_state(state, what="pair state")
-    if v.shape[0] != 4 or np.abs(v.imag).max() > ATOL:
-        raise UsageError("decompose expects a real 4-component state")
-    v_plus, v_minus = v[:2].real, v[2:].real
+    v_plus, v_minus = np.asarray(state, dtype=float).reshape(2, 2)
     wp, wm = float(v_plus @ v_plus), float(v_minus @ v_minus)
     if min(wp, wm) < 1e-18:
-        m = normalize(v_plus if wp >= wm else v_minus)
+        m = v_plus / math.sqrt(wp) if wp >= wm else v_minus / math.sqrt(wm)
         return min(max(wp, 0.0), 1.0), +1, 1.0, m, m
-    m_plus = normalize(v_plus)
-    m_raw = normalize(v_minus)
-    overlap = float(np.vdot(m_plus, m_raw).real)
+    m_plus = v_plus / math.sqrt(wp)
+    m_raw = v_minus / math.sqrt(wm)
+    overlap = float(m_plus @ m_raw)
     if abs(overlap) > 1e-12:
         sign = +1 if overlap > 0.0 else -1
     else:
-        sign = +1 if m_raw[int(np.argmax(np.abs(m_raw)))].real > 0.0 else -1
+        sign = +1 if m_raw[int(np.argmax(np.abs(m_raw)))] > 0.0 else -1
     return wp / (wp + wm), sign, min(abs(overlap), 1.0), m_plus, sign * m_raw
 
 
@@ -257,19 +200,24 @@ def probe_basis(m_plus, m_minus) -> tuple[np.ndarray, np.ndarray]:
     """Orthonormal probe basis (M+, M-) making equal angles with m+ and m-.
 
     Symmetric orthogonalization: the normalized sum u and difference v of
-    two real conditionals with non-negative overlap give M+/- = (u +- v)/sqrt(2),
+    two conditionals with non-negative overlap give M+/- = (u +- v)/sqrt(2),
     with <M+|m+> = <M-|m-> > 0. Raises `UsageError` when the conditionals
     coincide (c = 1): the probe then carries no information.
     """
-    u = normalize(np.asarray(m_plus) + m_minus)
-    v = normalize(np.asarray(m_plus) - m_minus)
+    u, v = m_plus + m_minus, m_plus - m_minus
+    if np.linalg.norm(v) < 1e-15:
+        raise UsageError("the probe conditionals coincide (c = 1): no probe basis")
+    u, v = u / np.linalg.norm(u), v / np.linalg.norm(v)
     return (u + v) / math.sqrt(2.0), (u - v) / math.sqrt(2.0)
 
 
 def joint_probabilities(state, basis) -> np.ndarray:
-    """p[i, j] = |<B_i (x) M_j|state>|^2, rows B+/B-, columns M+/M-."""
-    v = require_state(state, what="pair state")
-    return np.array([[abs(np.vdot(np.kron(b, m), v)) ** 2 for m in basis] for b in B_BASIS])
+    """p[i, j] = <B_i (x) M_j|state>^2, rows B+/B-, columns M+/M-.
+
+    With the pair state as the amplitude matrix psi[object, probe], the
+    amplitude <B_i (x) M_j|state> is B_i . psi . M_j.
+    """
+    return (np.array(B_BASIS) @ np.reshape(state, (2, 2)) @ np.transpose(basis)) ** 2
 
 
 def equatorial_joint(w: float, sign: int, c: float) -> np.ndarray:
@@ -284,5 +232,5 @@ def prepared_joint(alpha: float, t_s: float):
     """
     state, p_ok = post_select(alpha, t_s)
     w, sign, c, m_plus, m_minus = decompose(state)
-    p = None if c >= 1.0 - ATOL else joint_probabilities(state, probe_basis(m_plus, m_minus))
+    p = None if c >= 1.0 - 1e-12 else joint_probabilities(state, probe_basis(m_plus, m_minus))
     return w, sign, c, p_ok, p

@@ -484,6 +484,12 @@ GOLDEN = [
         "the stack is too leaky (k^2 below k_min^2)",
         "diagnostic: margin k^2 - k_min^2 = -0.0705435; this plate count calibrates above "
         "index n* = 1.5375383")),
+    # feasible, but both roots round onto the edges of (0, pi/4)
+    ("calibrate --plates 1000", 4, _lines("plates = 1000  index = 1.5  t_s = 2.99080075478e-70"),
+     _lines("error: no rotation angle reaches the optimal product for 1000 plates at index 1.5: "
+            "its roots round onto the edges of (0, pi/4)",
+            "diagnostic: margin k^2 - k_min^2 = +0.2769532; the stack is feasible, but double "
+            "precision cannot resolve its roots")),
     ("mc --w 0.8 --c 0.6 --shots 1000 --seed 3", 0, _lines(
         "setting: w_a_plus = 0.8  c = 0.6  shots = 1000  seed = 3  visibility = 1",
         "counts: (B+,M+) 486  (B+,M-) 245  (B-,M+) 259  (B-,M-) 10",

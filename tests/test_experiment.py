@@ -273,6 +273,13 @@ class TestCalibrateAlpha:
         roots = calibrate_alpha(7, refractive_index=1.55)
         assert len(roots) == 2
 
+    def test_messages_name_the_index_in_full(self):
+        # 12 significant digits, as the CLI prints the index in its header
+        with pytest.raises(CalibrationInfeasibleError, match=r"at index 1\.0000001: "):
+            calibrate_alpha(10, 1.0000001)
+        with pytest.warns(UserWarning, match=r"at index 1\.50000001: expected 2"):
+            calibrate_alpha(150, 1.50000001)
+
     def test_rejects_bad_plate_count(self):
         with pytest.raises(UsageError):
             calibrate_alpha(0)

@@ -12,97 +12,6 @@ from simulmeas.errors import UsageError
 EPS = sys.float_info.epsilon
 
 
-def random_state(rng, dim):
-    v = rng.normal(size=dim) + 1j * rng.normal(size=dim)
-    return v / np.linalg.norm(v)
-
-
-def random_unitary(rng):
-    m = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-    q, r = np.linalg.qr(m)
-    return q * (np.diag(r) / np.abs(np.diag(r)))
-
-
-class TestInner:
-    def test_identity(self):
-        assert qmath.inner([1, 0], [1, 0]) == 1 + 0j
-
-    def test_orthogonal(self):
-        assert qmath.inner([1, 0], [0, 1]) == 0j
-
-    def test_conjugate_bilinear(self):
-        # hand evaluation: conj(i/sqrt2)*(-i/sqrt2) = -1/2, cancels the 1/2
-        a = np.array([1, 1j]) / np.sqrt(2)
-        b = np.array([1, -1j]) / np.sqrt(2)
-        assert abs(qmath.inner(a, b)) < 1e-15
-
-    def test_conjugate_linear_in_first_argument(self):
-        a = np.array([0.5 + 0.5j, 0.5 - 0.5j])
-        b = np.array([1.0, 0.0])
-        assert qmath.inner(2j * a, b) == pytest.approx(-2j * qmath.inner(a, b))
-
-    def test_self_inner_is_real(self):
-        rng = np.random.default_rng(3)
-        for _ in range(100):
-            v = random_state(rng, 4)
-            assert abs(qmath.inner(v, v).imag) < 1e-15
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(UsageError):
-            qmath.inner([1, 0], [1, 0, 0, 0])
-
-    def test_conjugate_symmetry(self):
-        rng = np.random.default_rng(4)
-        for _ in range(200):
-            a, b = random_state(rng, 2), random_state(rng, 2)
-            assert qmath.inner(a, b) == np.conj(qmath.inner(b, a))
-
-
-class TestApplyToObject:
-    def test_identity(self):
-        rng = np.random.default_rng(6)
-        s = random_state(rng, 4)
-        np.testing.assert_allclose(qmath.apply_to_object(np.eye(2), s), s, atol=1e-15)
-
-    def test_projector_kills_subspace(self):
-        s = np.array([0, 0, 0.6, 0.8], dtype=complex)
-        out = qmath.apply_to_object(np.diag([1, 0]), s)
-        np.testing.assert_array_equal(out, np.zeros(4))
-
-    def test_partial_attenuation_of_singlet(self):
-        t = 0.37
-        s = np.array([0, 1, -1, 0]) / np.sqrt(2)
-        out = qmath.apply_to_object(np.diag([1.0, t]), s)
-        np.testing.assert_allclose(out, np.array([0, 1, -t, 0]) / np.sqrt(2), atol=1e-15)
-
-    def test_agrees_with_kron_route(self):
-        rng = np.random.default_rng(7)
-        for _ in range(100):
-            op = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-            s = random_state(rng, 4)
-            np.testing.assert_allclose(qmath.apply_to_object(op, s),
-                                       np.kron(op, np.eye(2)) @ s, atol=1e-13)
-
-    def test_unitary_preserves_inner_products(self):
-        rng = np.random.default_rng(8)
-        for _ in range(100):
-            u = random_unitary(rng)
-            x, y = random_state(rng, 4), random_state(rng, 4)
-            lhs = qmath.inner(qmath.apply_to_object(u, x), qmath.apply_to_object(u, y))
-            assert lhs == pytest.approx(qmath.inner(x, y), abs=1e-12)
-
-
-def test_vector_validation():
-    with pytest.raises(UsageError):
-        qmath.vec([1, 0, 0])
-    with pytest.raises(UsageError):
-        qmath.vec([np.nan, 0])
-    with pytest.raises(UsageError):
-        qmath.normalize([0, 0])
-    with pytest.raises(UsageError):
-        qmath.require_state([2, 0])
-
-
 class TestEquatorial:
     # the (w, sign) state's amplitudes, which the tests use as the reference
     def test_a_eigenstate(self):
@@ -121,17 +30,76 @@ class TestReferenceChain:
     def test_b_basis_is_unbiased_to_a(self):
         for b in qmath.B_BASIS:
             for a in ([1, 0], [0, 1]):
-                assert abs(qmath.inner(a, b)) ** 2 == pytest.approx(0.5, abs=1e-15)
+                assert np.vdot(a, b) ** 2 == pytest.approx(0.5, abs=1e-15)
 
     def test_conditional_pair_overlap(self):
         for c in (0.0, 0.3, 1.0):
             m_plus, m_minus = qmath.conditional_pair(c)
-            assert qmath.inner(m_plus, m_minus).real == pytest.approx(c, abs=1e-15)
+            assert np.vdot(m_plus, m_minus) == pytest.approx(c, abs=1e-15)
 
     def test_post_select_yield(self):
         state, p_ok = qmath.post_select(0.4, 0.3)
         assert p_ok == pytest.approx((1 + 0.3 ** 2) / 2, abs=1e-15)
-        assert qmath.norm(state) == pytest.approx(1.0, abs=1e-15)
+        assert np.linalg.norm(state) == pytest.approx(1.0, abs=1e-15)
+        # aligned, the stack attenuates the object's A- branch by t
+        t = 0.37
+        np.testing.assert_allclose(qmath.post_select(0.0, t)[0],
+                                   np.array([0, 1, -t, 0]) / math.sqrt(1 + t * t), atol=1e-15)
+
+    def test_post_select_matches_the_kron_route(self):
+        # (op (x) 1) singlet, and a yield of (1 + t^2)/2 at every angle:
+        # the singlet is the same in every polarization basis
+        rng = np.random.default_rng(22)
+        for _ in range(50):
+            alpha, t_s = rng.uniform(0, math.pi), rng.uniform(0, 1)
+            raw = np.kron(qmath.polarizer_operator(alpha, t_s), np.eye(2)) @ qmath.singlet()
+            state, p_ok = qmath.post_select(alpha, t_s)
+            assert p_ok == pytest.approx(raw @ raw, abs=1e-15)
+            assert p_ok == pytest.approx((1 + t_s ** 2) / 2, abs=1e-15)
+            np.testing.assert_allclose(state, raw / np.linalg.norm(raw), atol=1e-15)
+
+    def test_perfect_polarizer_leaves_a_product(self):
+        # the object is projected onto the high axis, the probe onto its partner
+        alpha = 0.4
+        w, _, c, _, _ = qmath.decompose(qmath.post_select(alpha, 0.0)[0])
+        assert w == pytest.approx(math.cos(alpha) ** 2, abs=1e-12)
+        assert c == pytest.approx(1.0, abs=1e-12)
+
+    def test_joint_probabilities_match_the_kron_route(self):
+        rng = np.random.default_rng(23)
+        for _ in range(50):
+            v = rng.normal(size=4)
+            state = v / np.linalg.norm(v)
+            basis = qmath.probe_basis(*qmath.conditional_pair(rng.uniform(0, 0.99)))
+            expected = [[(np.kron(b, m) @ state) ** 2 for m in basis] for b in qmath.B_BASIS]
+            np.testing.assert_allclose(qmath.joint_probabilities(state, basis), expected,
+                                       atol=1e-15)
+
+    def test_marginals_of_the_equatorial_joint(self):
+        # B+ row: (1 + y c)/2; M+ column: w cos^2 g + (1 - w) sin^2 g
+        rng = np.random.default_rng(24)
+        for _ in range(50):
+            w, sign, c = rng.uniform(), int(rng.choice([1, -1])), rng.uniform(0, 0.99)
+            p = qmath.equatorial_joint(w, sign, c)
+            y = 2 * sign * math.sqrt(w * (1 - w))
+            cos2 = (1 + math.sqrt(1 - c * c)) / 2
+            assert p[0].sum() == pytest.approx((1 + y * c) / 2, abs=1e-12)
+            assert p[:, 0].sum() == pytest.approx(w * cos2 + (1 - w) * (1 - cos2), abs=1e-12)
+
+    def test_prepared_joint_at_the_filter_limits(self):
+        w, _, c, p_ok, p = qmath.prepared_joint(0.4, 1.0)
+        assert (w, c, p_ok) == pytest.approx((0.5, 0.0, 1.0), abs=1e-12)
+        assert p.sum() == pytest.approx(1.0, abs=1e-12)
+        # a perfect polarizer leaves a product state: no probe basis
+        assert qmath.prepared_joint(0.4, 0.0)[-1] is None
+
+    def test_prepared_joint_is_a_distribution(self):
+        rng = np.random.default_rng(25)
+        for _ in range(50):
+            w, _, c, p_ok, p = qmath.prepared_joint(rng.uniform(0, math.pi), rng.uniform(0.01, 1))
+            assert c < 1 and 0.5 <= p_ok <= 1
+            assert p.sum() == pytest.approx(1.0, abs=1e-12)
+            assert np.all(p >= 0)
 
     def test_joint_probabilities_close(self):
         rng = np.random.default_rng(9)
@@ -141,9 +109,10 @@ class TestReferenceChain:
             assert p.sum() == pytest.approx(1.0, abs=1e-12)
             assert np.all(p >= 0)
 
-    def test_decompose_rejects_complex_states(self):
-        with pytest.raises(UsageError):
-            qmath.decompose(np.array([1, 1j, 0, 0]) / math.sqrt(2))
+    def test_chain_stays_real(self):
+        arrays = (qmath.post_select(0.4, 0.3)[0], qmath.entangle(0.6, -1, 0.3),
+                  qmath.equatorial_joint(0.6, -1, 0.3), qmath.prepared_joint(0.4, 0.3)[-1])
+        assert [a.dtype for a in arrays] == [np.float64] * 4
 
 
 class TestPauliReference:
@@ -154,10 +123,19 @@ class TestPauliReference:
                         (np.array([1, 1j]) / np.sqrt(2), [0, 0, 1])):
             np.testing.assert_allclose(qmath.pauli_expectations(amps), r, atol=1e-15)
 
+    def test_equatorial_states_sit_on_the_equator(self):
+        rng = np.random.default_rng(26)
+        for _ in range(50):
+            w, sign = rng.uniform(), int(rng.choice([1, -1]))
+            np.testing.assert_allclose(qmath.pauli_expectations(qmath.equatorial(w, sign)),
+                                       [2 * w - 1, 2 * sign * math.sqrt(w * (1 - w)), 0],
+                                       atol=1e-15)
+
     def test_axis_probability_is_the_projector_mean(self):
         rng = np.random.default_rng(19)
         for _ in range(50):
-            amps = qmath.normalize(rng.normal(size=2) + 1j * rng.normal(size=2))
+            amps = rng.normal(size=2) + 1j * rng.normal(size=2)
+            amps /= np.linalg.norm(amps)
             axis = rng.normal(size=3)
             axis /= np.linalg.norm(axis)
             r = qmath.pauli_expectations(amps)
@@ -172,13 +150,7 @@ class TestSinglet:
                                    np.array([0, 1, -1, 0]) / np.sqrt(2), atol=1e-15)
 
     def test_normalized(self):
-        assert qmath.norm(qmath.singlet()) == pytest.approx(1.0, abs=1e-15)
-
-    def test_decomposition(self):
-        w, sign, c, _, _ = qmath.decompose(qmath.singlet())
-        assert w == pytest.approx(0.5, abs=1e-12)
-        assert c == pytest.approx(0.0, abs=1e-12)
-        assert sign == -1
+        assert np.linalg.norm(qmath.singlet()) == pytest.approx(1.0, abs=1e-15)
 
 
 class TestPolarizerOperator:
@@ -202,7 +174,7 @@ class TestPolarizerOperator:
         for _ in range(50):
             alpha, t_s = rng.uniform(0, math.pi), rng.uniform(0, 1)
             op = qmath.polarizer_operator(alpha, t_s)
-            np.testing.assert_allclose(op, op.conj().T, rtol=0, atol=1e-15)
+            np.testing.assert_allclose(op, op.T, rtol=0, atol=1e-15)
             axis = np.array([math.cos(alpha), math.sin(alpha)])
             np.testing.assert_allclose(op @ axis, axis, atol=1e-12)
 
@@ -212,7 +184,7 @@ class TestEntangleDecompose:
     def test_perfect_entanglement_at_c_zero(self):
         _, _, c, m_plus, m_minus = qmath.decompose(qmath.entangle(0.5, +1, 0.0))
         assert c == pytest.approx(0.0, abs=1e-12)
-        assert abs(qmath.inner(m_plus, m_minus)) < 1e-12
+        assert abs(np.vdot(m_plus, m_minus)) < 1e-12
 
     def test_no_entanglement_at_c_one(self):
         state = qmath.entangle(0.7, -1, 1.0)
@@ -239,6 +211,26 @@ class TestEntangleDecompose:
         assert c == 1.0
         assert w == pytest.approx(1.0, abs=1e-12)
 
+    def test_a_minus_eigenstate(self):
+        m = np.array([math.cos(0.3), math.sin(0.3)])
+        w, sign, c, m_plus, m_minus = qmath.decompose(np.kron([0, 1], m))
+        assert (w, sign, c) == (0.0, +1, 1.0)
+        np.testing.assert_allclose([m_plus, m_minus], [m, m], atol=1e-15)
+
+    @pytest.mark.parametrize("sign", [+1, -1])
+    def test_zero_overlap_sign_convention(self, sign):
+        # c = 0 leaves the sign to m-: its largest component is positive
+        _, sign_back, c, _, m_minus = qmath.decompose(qmath.entangle(0.3, sign, 0.0))
+        assert c == pytest.approx(0.0, abs=1e-12)
+        assert sign_back == sign
+        assert m_minus[np.argmax(np.abs(m_minus))] > 0
+
+    @pytest.mark.parametrize("w,sign,c", [(-0.1, +1, 0.5), (1.1, +1, 0.5), (0.5, +1, 1.5),
+                                          (0.5, 0, 0.5)])
+    def test_entangle_rejects_out_of_range(self, w, sign, c):
+        with pytest.raises(UsageError):
+            qmath.entangle(w, sign, c)
+
     @pytest.mark.parametrize("w,sign,c", [(0.75, +1, 0.6), (0.6, +1, 0.3), (0.31, -1, 0.82)])
     def test_round_trip_examples(self, w, sign, c):
         w_back, sign_back, c_back, _, _ = qmath.decompose(qmath.entangle(w, sign, c))
@@ -253,7 +245,7 @@ class TestEntangleDecompose:
             c = rng.uniform(0, 1)
             sign = int(rng.choice([1, -1]))
             state = qmath.entangle(w, sign, c)
-            assert abs(qmath.norm(state) - 1) < 1e-12
+            assert abs(np.linalg.norm(state) - 1) < 1e-12
             w_back, _, c_back, _, _ = qmath.decompose(state)
             assert w_back == pytest.approx(w, abs=1e-10)
             assert c_back == pytest.approx(c, abs=1e-10)
@@ -268,13 +260,13 @@ class TestEntangleDecompose:
             rebuilt = (math.sqrt(w) * np.kron([1, 0], m_plus)
                        + sign * math.sqrt(1 - w) * np.kron([0, 1], m_minus))
             np.testing.assert_allclose(rebuilt, state, atol=1e-10)
-            assert c == pytest.approx(abs(qmath.inner(m_plus, m_minus)), abs=1e-12)
+            assert c == pytest.approx(abs(np.vdot(m_plus, m_minus)), abs=1e-12)
 
 
 def _reference_basis(w, c, sign=+1):
     _, _, c_back, m_plus, m_minus = qmath.decompose(qmath.entangle(w, sign, c))
     big_plus, big_minus = qmath.probe_basis(m_plus, m_minus)
-    cos_gamma = qmath.inner(big_plus, m_plus).real
+    cos_gamma = np.vdot(big_plus, m_plus)
     return c_back, m_plus, m_minus, big_plus, big_minus, math.acos(min(cos_gamma, 1.0))
 
 
@@ -303,12 +295,12 @@ class TestProbeBasis:
         for _ in range(200):
             c, m_plus, m_minus, big_plus, big_minus, gamma = _reference_basis(
                 rng.uniform(0.01, 0.99), rng.uniform(0, 0.999))
-            assert abs(qmath.norm(big_plus) - 1) < 1e-12
-            assert abs(qmath.norm(big_minus) - 1) < 1e-12
-            assert abs(qmath.inner(big_plus, big_minus)) < 1e-12
-            ov_plus = qmath.inner(big_plus, m_plus)
-            ov_minus = qmath.inner(big_minus, m_minus)
-            assert ov_plus.real > 0 and abs(ov_plus.imag) < 1e-12
+            assert abs(np.linalg.norm(big_plus) - 1) < 1e-12
+            assert abs(np.linalg.norm(big_minus) - 1) < 1e-12
+            assert abs(np.vdot(big_plus, big_minus)) < 1e-12
+            ov_plus = np.vdot(big_plus, m_plus)
+            ov_minus = np.vdot(big_minus, m_minus)
+            assert ov_plus > 0
             assert abs(abs(ov_plus) - abs(ov_minus)) < 1e-12
             assert abs(abs(ov_plus) - math.cos(gamma)) < 1e-12
             expected = (1 + math.sqrt(1 - c ** 2)) / 2
