@@ -16,7 +16,8 @@ subcommand reads and validates it, even one that uses none of its keys.
 Warnings a subcommand raises print as ``warning: <message>`` lines on stderr.
 
 Exit codes: 0 success, 2 usage error, 3 singular rescaling, 4 infeasible
-calibration, 5 I/O error.
+calibration, 5 I/O error; each package error prints as ``error: <message>``
+and exits with its class's code in `EXIT_CODES`.
 """
 
 from __future__ import annotations
@@ -31,13 +32,17 @@ import warnings
 import numpy as np
 
 from . import experiment, protocol
-from .errors import CalibrationInfeasibleError, RescalingSingularError, UsageError
+from .errors import (CalibrationInfeasibleError, RescalingSingularError, SimulmeasError,
+                     UsageError)
 
 EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_SINGULAR = 3
 EXIT_INFEASIBLE = 4
 EXIT_IO = 5
+# the exit code of each package error class
+EXIT_CODES = {UsageError: EXIT_USAGE, RescalingSingularError: EXIT_SINGULAR,
+              CalibrationInfeasibleError: EXIT_INFEASIBLE}
 
 SWEEP_COLUMNS = ["w_a_plus", "delta_a", "delta_b", "c_opt",
                  "min_product", "max_product", "sharp_product"]
@@ -58,13 +63,13 @@ SETTINGS = {"seed": 20251, "shots": 100_000, "visibility": 1.0,
 
 
 def _fmt(x) -> str:
-    """12-significant-digit, locale-independent rendering."""
-    return format(x, ".12g") if isinstance(x, float) else str(x)
+    """12-significant-digit, locale-independent rendering; -0 prints as 0."""
+    return format(x + 0.0, ".12g") if isinstance(x, float) else str(x)
 
 
 def _json_value(x):
-    if isinstance(x, float) and not math.isfinite(x):
-        return None
+    if isinstance(x, float):
+        return x + 0.0 if math.isfinite(x) else None
     return x
 
 
@@ -255,8 +260,9 @@ def _resolve_mc_setting(args) -> tuple[float, float, float, float]:
     if not 0.0 <= args.visibility <= 1.0:
         raise UsageError(f"visibility must be in [0, 1], got {args.visibility}")
     protocol.probe_noise(c)
-    delta_a, _ = protocol.sharp_deltas(w)
-    return w, c, x, delta_a if y is None else y
+    if y is None:
+        y, _ = protocol.sharp_deltas(w)
+    return w, c, x, y
 
 
 def cmd_mc(args) -> int:
@@ -351,22 +357,9 @@ def main(argv=None) -> int:
         try:
             merge_config(args)
             return args.func(args)
-        except UsageError as exc:
+        except SimulmeasError as exc:
             print(f"error: {exc}", file=sys.stderr)
-            return EXIT_USAGE
-        except RescalingSingularError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_SINGULAR
-        except CalibrationInfeasibleError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            # a positive margin puts the index above n* already: rounding, not
-            # leakage, lost the roots
-            why = ("the stack is feasible, but double precision cannot resolve its roots"
-                   if exc.margin > 0.0 else
-                   f"this plate count calibrates above index n* = {exc.threshold_index:.7f}")
-            print(f"diagnostic: margin k^2 - k_min^2 = {exc.margin:+.7f}; {why}",
-                  file=sys.stderr)
-            return EXIT_INFEASIBLE
+            return EXIT_CODES[type(exc)]
         except OSError as exc:
             print(f"i/o error: {exc}", file=sys.stderr)
             return EXIT_IO

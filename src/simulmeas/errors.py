@@ -1,7 +1,7 @@
 """Exception types shared across the package.
 
-The CLI maps each class to a distinct exit code, so errors raised deep in
-the numerics surface as meaningful process results.
+The CLI maps each class to its exit code through one table, `cli.EXIT_CODES`;
+an infeasible calibration's diagnostic travels in its message.
 """
 
 

@@ -200,8 +200,8 @@ def calibrate_alpha(plate_count: int,
 
     Returns the roots in (0, pi/4), sorted. A root so close to an edge that
     it rounds onto it is dropped with a warning; an infeasible stack, or one
-    left with no root, raises `CalibrationInfeasibleError` carrying the
-    margin k^2 - k_min^2 and the threshold index n*(N).
+    left with no root, raises `CalibrationInfeasibleError` with the margin
+    k^2 - k_min^2 and the threshold index n*(N), explained on a diagnostic line.
     """
     t_s = stack_transmittance(plate_count, refractive_index)
     t2 = t_s * t_s
@@ -224,13 +224,19 @@ def calibrate_alpha(plate_count: int,
         roots = [alpha for alpha in alphas if 0.0 < alpha < math.pi / 4.0]
 
     if not roots:
-        margin = k2 - _K2_MIN
-        why = ("its roots round onto the edges of (0, pi/4)" if margin > 0.0
-               else "the stack is too leaky (k^2 below k_min^2)")
+        margin, n_star = k2 - _K2_MIN, threshold_index(plate_count)
+        # a positive margin puts n above n*: rounding, not leakage, lost the roots
+        if margin > 0.0:
+            why = "its roots round onto the edges of (0, pi/4)"
+            advice = "the stack is feasible, but double precision cannot resolve its roots"
+        else:
+            why = "the stack is too leaky (k^2 below k_min^2)"
+            advice = f"this plate count calibrates above index n* = {n_star:.7f}"
         raise CalibrationInfeasibleError(
             f"no rotation angle reaches the optimal product for {plate_count} plates "
-            f"at index {refractive_index:.12g}: {why}",
-            margin=margin, threshold_index=threshold_index(plate_count))
+            f"at index {refractive_index:.12g}: {why}\n"
+            f"diagnostic: margin k^2 - k_min^2 = {margin:+.7f}; {advice}",
+            margin=margin, threshold_index=n_star)
     if len(roots) != 2:
         warnings.warn(
             f"{plate_count} plates at index {refractive_index:.12g}: expected 2 calibration "

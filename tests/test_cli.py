@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from simulmeas import cli
+from simulmeas import cli, errors
 from simulmeas.cli import main, sweep_columns
 
 
@@ -375,6 +375,22 @@ class TestMcCommand:
         assert code == cli.EXIT_USAGE
         assert err.startswith("error:") and flag in err
 
+    @pytest.mark.parametrize("argv, code, err", [
+        # shots are checked before the stack is calibrated
+        ("--plates 7 --shots 0", 2, f"error: shots must be in 1..{2 ** 63 - 1}, got 0\n"),
+        # the seed before the shots
+        ("--w 0.5 --c 0.5 --seed -1 --shots 0", 2,
+         "error: seed must be a non-negative integer, got -1\n"),
+        # the visibility after calibration
+        ("--plates 7 --visibility 2 --shots 10", 4,
+         "error: no rotation angle reaches the optimal product for 7 plates at index 1.5: "
+         "the stack is too leaky (k^2 below k_min^2)\n"
+         "diagnostic: margin k^2 - k_min^2 = -0.0705435; this plate count calibrates above "
+         "index n* = 1.5375383\n"),
+    ])
+    def test_check_order(self, capsys, argv, code, err):
+        assert run(capsys, "mc", *argv.split()) == (code, "", err)
+
 
 class TestConfigFile:
     def test_file_pins_seed_flags_override(self, capsys, tmp_path):
@@ -539,6 +555,26 @@ def test_golden_transcript(capsys, tmp_path, argv, code, out, err):
     assert run(capsys, *argv.format(cfg=cfg).split()) == (code, out, err)
 
 
+@pytest.mark.parametrize("argv, twin", [
+    ("state --w -0 --c 0.5", "state --w 0 --c 0.5"),
+    # the second amplitude is -sqrt(0); the twin differs in the sign only
+    ("state --w 1 --sign - --c 0.5", "state --w 1 --sign + --c 0.5"),
+    ("mc --w -0 --c 0.5 --visibility -0", "mc --w 0 --c 0.5 --visibility 0"),
+    ("mc --w -0 --c 0.5 --visibility -0 --format json",
+     "mc --w 0 --c 0.5 --visibility 0 --format json"),
+])
+def test_negative_zero_prints_as_zero(capsys, tmp_path, argv, twin):
+    # each mc run appends its point to a file of its own
+    results = []
+    for name, case in (("negative", argv), ("twin", twin)):
+        out = tmp_path / name
+        flags = ["--out", str(out)] if case.startswith("mc") else []
+        code, stdout, err = run(capsys, *case.split(), *flags)
+        results.append((code, stdout.replace("sign = -", "sign = +"), err,
+                        out.read_text() if out.exists() else None))
+    assert results[0] == results[1]
+
+
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 
@@ -566,6 +602,15 @@ def test_import_structure(tmp_path):
         "import simulmeas.cli\n"
         "print('simulmeas.qmath' in sys.modules)\n"))
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[]\nFalse\n", "")
+
+
+def test_every_package_error_has_its_own_exit_code():
+    classes = {cls for cls in vars(errors).values()
+               if isinstance(cls, type) and issubclass(cls, errors.SimulmeasError)
+               and cls is not errors.SimulmeasError}
+    assert set(cli.EXIT_CODES) == classes
+    codes = set(cli.EXIT_CODES.values())
+    assert len(codes) == len(classes) and not codes & {cli.EXIT_OK, cli.EXIT_IO}
 
 
 def _huge(n_digits=400):

@@ -269,6 +269,18 @@ class TestCalibrateAlpha:
         assert err.value.margin < 0
         assert err.value.threshold_index == pytest.approx(1.5375383, abs=1e-7)
 
+    @pytest.mark.parametrize("plates, diagnostic", [
+        (7, "-0.0705435; this plate count calibrates above index n* = 1.5375383"),
+        # feasible, but both roots round onto the edges of (0, pi/4)
+        (3000, "+0.2769532; the stack is feasible, but double precision cannot resolve "
+               "its roots"),
+    ])
+    def test_message_carries_the_diagnostic(self, plates, diagnostic):
+        with pytest.raises(CalibrationInfeasibleError) as err:
+            calibrate_alpha(plates)
+        assert str(err.value).splitlines()[1] == (
+            "diagnostic: margin k^2 - k_min^2 = " + diagnostic)
+
     def test_seven_plates_feasible_at_higher_index(self):
         roots = calibrate_alpha(7, refractive_index=1.55)
         assert len(roots) == 2
