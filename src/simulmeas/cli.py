@@ -25,7 +25,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 import warnings
 
@@ -174,13 +173,12 @@ def _write_text(path: str | None, text: str):
 def _append_point(path: str | None, fmt: str, point: dict):
     if path is None:
         return
-    if fmt == "json":
-        with open(path, "a", encoding="utf-8", newline="") as fh:
-            fh.write(json.dumps({col: _json_value(point[col]) for col in MC_COLUMNS}) + "\n")
-        return
-    fresh = not os.path.exists(path) or os.path.getsize(path) == 0
     with open(path, "a", encoding="utf-8", newline="") as fh:
-        if fresh:
+        if fmt == "json":
+            fh.write(json.dumps({col: _json_value(point[col]) for col in MC_COLUMNS}) + "\n")
+            return
+        # a pipe has no earlier rows, so it gets the header too
+        if not fh.seekable() or fh.tell() == 0:
             fh.write(",".join(MC_COLUMNS) + "\n")
         fh.write(",".join(_fmt(point[col]) for col in MC_COLUMNS) + "\n")
 
@@ -194,7 +192,7 @@ def cmd_state(args) -> int:
     pb = protocol.b_probabilities(w, sign)
     da_prime, db_prime = protocol.unsharp_deltas(delta_a, delta_b, args.c)
     value, c_opt = protocol.min_product(delta_a, delta_b)
-    c_best, product_best, boundary = protocol.numeric_c_scan(w)
+    c_best, product_best, boundary = protocol.numeric_c_scan(delta_a, delta_b)
 
     print(f"equatorial state: w_a_plus = {_fmt(w)}, sign = {args.sign}")
     print(f"amplitudes: [{_fmt(math.sqrt(w))}, {_fmt(sign * math.sqrt(1.0 - w))}]")
@@ -307,7 +305,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_state = sub.add_parser("state", help="report one equatorial state")
     p_state.add_argument("--w", type=float, required=True, help="w_a_plus in [0, 1]")
-    p_state.add_argument("--sign", choices=["+", "-"], default="+")
+    p_state.add_argument("--sign", choices=["+", "-"], default="+",
+                         help="sign of the |A-> amplitude (default +)")
     p_state.add_argument("--c", type=float, required=True, help="probe overlap in (0, 1)")
     p_state.set_defaults(func=cmd_state)
 
@@ -317,27 +316,32 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--full-range", action="store_true",
                          help="sweep w in [0, 1] instead of [0.5, 1]")
     p_sweep.add_argument("--out", default=None, help="output path (default stdout)")
-    p_sweep.add_argument("--format", choices=["csv", "json"], default=None)
+    p_sweep.add_argument("--format", choices=["csv", "json"], default=None,
+                         help=f"output format (default {SETTINGS['format']})")
     p_sweep.set_defaults(func=cmd_sweep)
 
+    index_help = f"glass refractive index (default {SETTINGS['index']})"
     p_cal = sub.add_parser("calibrate", help="find optimal polarizer rotations")
     p_cal.add_argument("--plates", type=int, required=True, help="glass plate count")
-    p_cal.add_argument("--index", type=float, default=None,
-                       help=f"glass refractive index (default {SETTINGS['index']})")
+    p_cal.add_argument("--index", type=float, default=None, help=index_help)
     p_cal.set_defaults(func=cmd_calibrate)
 
     p_mc = sub.add_parser("mc", help="Monte Carlo coincidence run of one setting")
-    p_mc.add_argument("--plates", type=int, default=None)
+    p_mc.add_argument("--plates", type=int, default=None, help="glass plate count to calibrate")
     p_mc.add_argument("--root", type=int, default=None,
                       help="which calibrated rotation of --plates to use (1 or 2, default 1)")
     p_mc.add_argument("--w", type=float, default=None, help="explicit w_a_plus")
     p_mc.add_argument("--c", type=float, default=None, help="explicit overlap")
-    p_mc.add_argument("--shots", type=int, default=None)
-    p_mc.add_argument("--seed", type=int, default=None)
-    p_mc.add_argument("--visibility", type=float, default=None)
-    p_mc.add_argument("--index", type=float, default=None)
+    p_mc.add_argument("--shots", type=int, default=None,
+                      help=f"coincidences to sample (default {SETTINGS['shots']})")
+    p_mc.add_argument("--seed", type=int, default=None,
+                      help=f"sampler seed (default {SETTINGS['seed']})")
+    p_mc.add_argument("--visibility", type=float, default=None,
+                      help=f"state visibility in [0, 1] (default {SETTINGS['visibility']})")
+    p_mc.add_argument("--index", type=float, default=None, help=index_help)
     p_mc.add_argument("--out", default=None, help="append the measured point here")
-    p_mc.add_argument("--format", choices=["csv", "json"], default=None)
+    p_mc.add_argument("--format", choices=["csv", "json"], default=None,
+                      help=f"format of the --out file (default {SETTINGS['format']})")
     p_mc.set_defaults(func=cmd_mc)
     return parser
 

@@ -43,7 +43,6 @@ from .errors import CalibrationInfeasibleError, UsageError
 __all__ = [
     "CoincidenceCounts",
     "UncertaintyReport",
-    "plate_transmittance",
     "stack_transmittance",
     "prepare",
     "calibrate_alpha",
@@ -61,15 +60,31 @@ MAX_SHOTS = 2 ** 63 - 1
 # --------------------------------------------------------------------------
 # polarizer and the prepared state
 
-def plate_transmittance(refractive_index: float) -> float:
-    """Per-plate s-polarization amplitude transmittance at Brewster incidence.
+def _plate_count(plate_count: int) -> int:
+    """The plate count as an int >= 1 that converts to float (numpy ints accepted)."""
+    try:
+        n = operator.index(plate_count)
+    except TypeError:
+        raise UsageError(f"plate_count must be an integer, got {plate_count!r}") from None
+    if n < 1:
+        raise UsageError(f"plate_count must be >= 1, got {n}")
+    try:
+        float(n)
+    except OverflowError:
+        raise UsageError(f"plate_count {n} is too large") from None
+    return n
+
+
+def stack_transmittance(plate_count: int, refractive_index: float) -> float:
+    """s amplitude transmittance t_s = t^N of an N-plate stack at Brewster incidence.
 
     Each plate has two air/glass interfaces; at the Brewster angle the
     single-interface s intensity transmittance is 4n^2/(1+n^2)^2, so the
-    per-plate amplitude sqrt(T1*T2) equals that same expression. The p
+    per-plate amplitude t = sqrt(T1*T2) equals that same expression. The p
     polarization passes without reflection. An index so large that the
     expression leaves the float range is refused.
     """
+    plates = _plate_count(plate_count)
     n = float(refractive_index)
     if not n > 1.0:
         raise UsageError(f"refractive index must exceed 1, got {n}")
@@ -80,27 +95,7 @@ def plate_transmittance(refractive_index: float) -> float:
     if not math.isfinite(t):
         raise UsageError(f"refractive index {n:g} is out of range: "
                          "the plate transmittance is not finite")
-    return t
-
-
-def _plate_count(plate_count: int) -> int:
-    """The plate count as an int >= 1 (numpy integers are accepted)."""
-    try:
-        n = operator.index(plate_count)
-    except TypeError:
-        raise UsageError(f"plate_count must be an integer, got {plate_count!r}") from None
-    if n < 1:
-        raise UsageError(f"plate_count must be >= 1, got {n}")
-    return n
-
-
-def stack_transmittance(plate_count: int, refractive_index: float) -> float:
-    """s amplitude transmittance t_s = t^N of an N-plate stack, t per plate."""
-    n = _plate_count(plate_count)
-    try:
-        return plate_transmittance(refractive_index) ** n
-    except OverflowError:
-        raise UsageError(f"plate_count {n} is too large") from None
+    return t ** plates
 
 
 def prepare(t_s: float, alpha: float) -> tuple[float, float, float]:
@@ -172,11 +167,7 @@ def threshold_index(plate_count: int) -> float:
     t_s_max for n > 1 gives n* = (1 + sqrt(1 - tau))/sqrt(tau) with
     tau = t_s_max^(1/N); for 7 plates n* = 1.5375383.
     """
-    n = _plate_count(plate_count)
-    try:
-        tau = _T_S_MAX ** (1.0 / n)
-    except OverflowError:
-        raise UsageError(f"plate_count {n} is too large") from None
+    tau = _T_S_MAX ** (1.0 / _plate_count(plate_count))
     return (1.0 + math.sqrt(1.0 - tau)) / math.sqrt(tau)
 
 

@@ -30,12 +30,12 @@ pair, with inferred uncertainties
 whose product is minimized to 1 + delta_a*delta_b at
 c = sqrt(delta_a/(delta_a + delta_b)). This module implements these closed
 forms, both product extrema and a brute-force scan that cross-checks the
-optimum. A state is the plain pair (w, sign), and `sharp_deltas` is the
-one check that w lies in [0, 1]. The module does no amplitude arithmetic:
-the closed forms take floats or numpy arrays alike, and their
-amplitude-level derivation lives in `qmath`, which only the tests use,
-together with the argument that no single von Neumann measurement can do
-the same job.
+optimum from the same (delta_a, delta_b), pure or mixed. A state is the
+plain pair (w, sign), and `sharp_deltas` is the one check that w lies in
+[0, 1]. The module does no amplitude arithmetic: the closed forms take
+floats or numpy arrays alike, and their amplitude-level derivation lives
+in `qmath`, which only the tests use, together with the argument that no
+single von Neumann measurement can do the same job.
 
 Conventions: |A+> = (1, 0), |A-> = (0, 1); |B+/-> = (|A+> +/- |A->)/sqrt(2).
 All uncertainties are normalized by the eigenvalue magnitudes.
@@ -181,17 +181,16 @@ def _golden_min(f, lo: float, hi: float) -> float:
     return 0.5 * (lo + hi)
 
 
-def numeric_c_scan(w_a_plus: float) -> tuple[float, float, bool]:
+def numeric_c_scan(delta_a: float, delta_b: float) -> tuple[float, float, bool]:
     """Brute-force minimization of the simultaneous product over the overlap.
 
-    Returns (c_best, product_best, boundary). Scans 1000 uniform points on
+    Takes the (delta_a, delta_b) of `min_product`, pure or mixed. Returns
+    (c_best, product_best, boundary). Scans 1000 uniform points on
     (1e-4, 1-1e-4), then refines the best bracket by golden-section search.
     A minimizer at the first or last grid point is flagged as a boundary:
     the true optimum is a limit there (overlap 0 or 1), not an interior
     point.
     """
-    delta_a, delta_b = sharp_deltas(w_a_plus)
-
     def product(c):
         one_minus = 1.0 - c * c
         return np.sqrt((delta_a * delta_a + c * c / one_minus)

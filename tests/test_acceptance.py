@@ -52,7 +52,7 @@ def test_criterion_01_closed_form_vs_brute_force():
     w_values = np.linspace(0.5, 1.0, 101)
     worst_value, worst_argmin = 0.0, 0.0
     for w in w_values[1:-1]:
-        c_best, product_best, _ = protocol.numeric_c_scan(float(w))
+        c_best, product_best, _ = protocol.numeric_c_scan(*protocol.sharp_deltas(float(w)))
         value, c_opt = protocol.min_product(*protocol.sharp_deltas(float(w)))
         worst_value = max(worst_value, abs(product_best - value))
         worst_argmin = max(worst_argmin, abs(c_best - c_opt))
@@ -60,7 +60,7 @@ def test_criterion_01_closed_form_vs_brute_force():
     # limiting product 1 from above
     edge_ok = True
     for w in (0.5, 1.0):
-        _, product_best, boundary = protocol.numeric_c_scan(w)
+        _, product_best, boundary = protocol.numeric_c_scan(*protocol.sharp_deltas(w))
         edge_ok &= boundary and abs(product_best - 1.0) < 1e-3
     elapsed = time.perf_counter() - start
     ok = worst_value <= 1e-6 and worst_argmin <= 1e-4 and edge_ok and elapsed < 1.0

@@ -1,3 +1,4 @@
+import argparse
 import json
 import math
 import os
@@ -263,6 +264,17 @@ class TestMcCommand:
         assert lines[0] == ",".join(cli.MC_COLUMNS)
         assert len(lines) == 3
         assert lines[1].split(",")[3] == "7"
+
+    def test_empty_file_gets_the_header_once(self, capsys, tmp_path):
+        out_path = tmp_path / "points.csv"
+        out_path.touch()
+        args = ["mc", "--w", "0.8", "--c", "0.6", "--shots", "100", "--out", str(out_path)]
+        assert main(args + ["--seed", "1"]) == 0
+        assert main(args + ["--seed", "2"]) == 0
+        capsys.readouterr()
+        lines = out_path.read_text().splitlines()
+        assert lines[0] == ",".join(cli.MC_COLUMNS)
+        assert [line.split(",")[3] for line in lines[1:]] == ["1", "2"]
 
     def test_calibrated_setting(self, capsys):
         code, out, _ = run(capsys, "mc", "--plates", "10", "--root", "2",
@@ -592,6 +604,23 @@ def test_python_dash_m(tmp_path, module):
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, expected, "")
 
 
+@pytest.mark.skipif(not os.path.exists("/dev/stdout"), reason="needs /dev/stdout")
+def test_point_appended_to_a_pipe_has_the_header(tmp_path):
+    # stdout is a pipe here, which has no size or position to read
+    proc = run_python(tmp_path, "-m", "simulmeas", "mc", "--w", "0.5", "--c", "0.5",
+                      "--shots", "10", "--out", "/dev/stdout")
+    assert proc.returncode == 0, proc.stderr
+    assert ",".join(cli.MC_COLUMNS) in proc.stdout.splitlines()
+
+
+def test_every_option_has_help_text():
+    parser = cli.build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    for name, p in [("simulmeas", parser), *sub.choices.items()]:
+        for action in p._actions:
+            assert action.help or not action.option_strings, (name, action.option_strings)
+
+
 def test_import_structure(tmp_path):
     # the package module loads no submodule, and the CLI never loads the
     # test-only reference
@@ -625,6 +654,7 @@ ADVERSARIAL = [
     *[["sweep", "--grid", g] for g in ("-1", "0", "1", _huge(), "nan")],
     ["sweep", "--grid", "1000000000000"],
     *[["calibrate", "--plates", p] for p in ("-3", "0", _huge(), "10000000000000000000000")],
+    ["calibrate", "--plates", _huge(), "--index", "nan"],
     *[["calibrate", "--plates", "10", "--index", i] for i in ("nan", "inf", "-inf", "-1.5",
                                                                 "1e200", "1e154", "1e100")],
     *[["mc", "--plates", "10", "--shots", "100", *extra] for extra in (

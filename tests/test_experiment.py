@@ -14,7 +14,6 @@ from simulmeas.experiment import (
     CoincidenceCounts,
     calibrate_alpha,
     estimate_report,
-    plate_transmittance,
     prepare,
     run_setting,
     sample_coincidences,
@@ -106,41 +105,42 @@ def fraction_reduction(n, c):
 class TestPlateTransmittance:
     @pytest.mark.parametrize("n", [1.2, 1.5, 1.7, 2.0])
     def test_matches_fresnel_oracle(self, n):
-        assert plate_transmittance(n) == pytest.approx(fresnel_plate_amplitude(n), abs=1e-12)
+        assert stack_transmittance(1, n) == pytest.approx(fresnel_plate_amplitude(n), abs=1e-12)
 
     def test_reference_values(self):
-        amp = plate_transmittance(1.5)
+        amp = stack_transmittance(1, 1.5)
         assert amp == pytest.approx(0.8520710059171598, abs=1e-12)
         assert amp ** 2 == pytest.approx(0.7260249991246805, abs=1e-12)  # per-plate intensity
         assert amp ** 7 == pytest.approx(0.3260847678195326, abs=1e-12)
 
     def test_index_near_one(self):
-        assert plate_transmittance(1 + 1e-9) == pytest.approx(1.0, abs=1e-8)
+        assert stack_transmittance(1, 1 + 1e-9) == pytest.approx(1.0, abs=1e-8)
 
     @pytest.mark.parametrize("n", [1.0, 0.8, -2.0])
     def test_rejects_bad_index(self, n):
         with pytest.raises(UsageError):
-            plate_transmittance(n)
+            stack_transmittance(1, n)
 
     @pytest.mark.parametrize("n", [math.inf, math.nan, 1e200, 1e154, 1e100])
     def test_rejects_index_without_finite_transmittance(self, n):
         with pytest.raises(UsageError):
-            plate_transmittance(n)
+            stack_transmittance(1, n)
         with pytest.raises(UsageError):
             calibrate_alpha(10, n)
 
     def test_keeps_the_formula_bits(self):
         n = 1.5
-        assert plate_transmittance(n) == 4.0 * n * n / (1.0 + n * n) ** 2
+        assert stack_transmittance(1, n) == 4.0 * n * n / (1.0 + n * n) ** 2
 
     def test_stack_transmittance(self):
-        assert stack_transmittance(7, 1.5) == plate_transmittance(1.5) ** 7
+        assert stack_transmittance(7, 1.5) == stack_transmittance(1, 1.5) ** 7
         assert stack_transmittance(np.int64(7), 1.5) == stack_transmittance(7, 1.5)
         for plates in (0, -3):
             with pytest.raises(UsageError):
                 stack_transmittance(plates, 1.5)
-        with pytest.raises(UsageError, match="too large"):
-            stack_transmittance(10 ** 400, 1.5)
+        for index in (1.5, math.nan):  # the count is checked before the index
+            with pytest.raises(UsageError, match="too large"):
+                stack_transmittance(10 ** 400, index)
         for plates in (2.5, 7.0, "7"):
             with pytest.raises(UsageError, match="must be an integer"):
                 stack_transmittance(plates, 1.5)
@@ -190,7 +190,7 @@ class TestPrepare:
 
     def test_yield_is_rotation_invariant(self):
         # the post-selection yield (1 + t_s^2)/2 that `prepare` states
-        t = plate_transmittance(1.5) ** 8
+        t = stack_transmittance(8, 1.5)
         expected = (1 + t * t) / 2
         for alpha in np.linspace(0, math.pi / 2, 101).tolist():
             assert reference_state(t, alpha)[3] == pytest.approx(expected, abs=1e-10)
@@ -233,7 +233,7 @@ class TestPrepare:
     def test_continuity_in_alpha(self):
         # 1e-4-spaced rotation grid: no branch jumps in (c, w)
         alphas = np.arange(1e-4, math.pi / 4, 1e-4)
-        t = plate_transmittance(1.5) ** 7
+        t = stack_transmittance(7, 1.5)
         cws = np.array([
             (c, 0.5 * (1 + x))
             for x, _, c in (prepare(t, float(a)) for a in alphas)])

@@ -3,7 +3,7 @@ import sys
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from simulmeas import protocol, qmath
@@ -22,6 +22,8 @@ from simulmeas.protocol import (
 
 SYMMETRIC_W = (2 + math.sqrt(2)) / 4  # maximizer of the sharp product
 EPS = sys.float_info.epsilon
+# the overlap grid `numeric_c_scan` searches before it refines
+SCAN_GRID = np.linspace(1e-4, 1 - 1e-4, 1000)
 
 
 def bloch(w, sign):
@@ -321,13 +323,27 @@ class TestProductExtrema:
 class TestNumericCScan:
     def test_matches_closed_form(self):
         for w in (SYMMETRIC_W, 0.75, 0.62):
-            c_best, product_best, boundary = numeric_c_scan(w)
+            c_best, product_best, boundary = numeric_c_scan(*sharp_deltas(w))
             value, c_opt = min_product(*sharp_deltas(w))
             assert not boundary
             assert product_best == pytest.approx(value, abs=1e-6)
             assert c_best == pytest.approx(c_opt, abs=1e-4)
 
     def test_boundary_flag_at_b_eigenstate(self):
-        _, product_best, boundary = numeric_c_scan(0.5)
+        _, product_best, boundary = numeric_c_scan(*sharp_deltas(0.5))
         assert boundary
         assert product_best == pytest.approx(1.0, abs=1e-3)
+
+    @settings(max_examples=300, deadline=None)
+    @given(x=st.floats(-1, 1), y=st.floats(-1, 1))
+    def test_mixed_states_reach_the_floor(self, x, y):
+        # Bloch components in the unit disk; inside it the state is mixed
+        assume(x * x + y * y <= 1.0)
+        delta_a, delta_b = math.sqrt(1 - x * x), math.sqrt(1 - y * y)
+        c_best, product_best, boundary = numeric_c_scan(delta_a, delta_b)
+        value, c_opt = min_product(delta_a, delta_b)
+        assert product_best >= value * (1 - 8 * EPS)
+        if SCAN_GRID[1] < c_opt < SCAN_GRID[-2]:
+            assert not boundary
+            assert product_best == pytest.approx(value, rel=1e-9)
+            assert c_best == pytest.approx(c_opt, abs=1e-4)
