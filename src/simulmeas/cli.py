@@ -170,17 +170,18 @@ def _write_text(path: str | None, text: str):
             fh.write(text)
 
 
-def _append_point(path: str | None, fmt: str, point: dict):
+def _append_point(path: str | None, fmt: str, row: tuple):
+    """Append the values ``row``, in `MC_COLUMNS` order, as a CSV row or a JSON line."""
     if path is None:
         return
     with open(path, "a", encoding="utf-8", newline="") as fh:
         if fmt == "json":
-            fh.write(json.dumps({col: _json_value(point[col]) for col in MC_COLUMNS}) + "\n")
+            fh.write(json.dumps(dict(zip(MC_COLUMNS, map(_json_value, row)))) + "\n")
             return
         # a pipe has no earlier rows, so it gets the header too
         if not fh.seekable() or fh.tell() == 0:
             fh.write(",".join(MC_COLUMNS) + "\n")
-        fh.write(",".join(_fmt(point[col]) for col in MC_COLUMNS) + "\n")
+        fh.write(",".join(map(_fmt, row)) + "\n")
 
 
 # --------------------------------------------------------------------------
@@ -269,7 +270,8 @@ def cmd_mc(args) -> int:
     if not 1 <= args.shots <= experiment.MAX_SHOTS:
         raise UsageError(f"shots must be in 1..{experiment.MAX_SHOTS}, got {args.shots}")
     w, c, x, y = _resolve_mc_setting(args)
-    counts, report = experiment.run_setting(x, y, c, args.shots, args.seed, args.visibility)
+    counts, product, stderr = experiment.run_setting(x, y, c, args.shots, args.seed,
+                                                     args.visibility)
 
     delta_a, delta_b = abs(y), abs(x)
     analytic = protocol.unsharp_product(delta_a, delta_b, c)
@@ -277,17 +279,11 @@ def cmd_mc(args) -> int:
           f"seed = {args.seed}  visibility = {_fmt(args.visibility)}")
     print(f"counts: (B+,M+) {counts.n_pp}  (B+,M-) {counts.n_pm}  "
           f"(B-,M+) {counts.n_mp}  (B-,M-) {counts.n_mm}")
-    print(f"measured product = {_fmt(report.product_simultaneous)}  "
-          f"stderr = {_fmt(report.product_stderr)}")
+    print(f"measured product = {_fmt(product)}  stderr = {_fmt(stderr)}")
     print(f"analytic product = {_fmt(analytic)}  "
           f"minimum possible = {_fmt(1.0 + delta_a * delta_b)}")
-    _append_point(args.out, args.format, {
-        "w_a_plus": w, "c_used": c, "shots": args.shots, "seed": args.seed,
-        "visibility": args.visibility,
-        "product_measured": report.product_simultaneous,
-        "product_stderr": report.product_stderr,
-        "product_analytic": analytic,
-    })
+    _append_point(args.out, args.format,
+                  (w, c, args.shots, args.seed, args.visibility, product, stderr, analytic))
     return EXIT_OK
 
 

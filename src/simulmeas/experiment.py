@@ -21,16 +21,16 @@ distribution is affine in x and y about 1/4, `run_setting` samples exactly
 multinomial sampling over those four joint outcomes. `estimate_report`
 reduces the integer counts the way the measured data would be processed:
 empirical marginals, rescaled two-point distributions, then standard
-deviations. It returns the inferred uncertainties and their product with
-its delta-method standard error. The count ratios in the product and in
-its variance are each rounded once, so the estimate keeps full precision
-for any counts up to the sampler's 2^63 - 1 shots, nearly pure marginals
-included.
+deviations. It returns the simultaneous product and its delta-method
+standard error. The count ratios in the product and in its variance are
+each rounded once, so the estimate keeps full precision for any counts up
+to the sampler's 2^63 - 1 shots, nearly pure marginals included.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 import operator
 import warnings
 from dataclasses import dataclass
@@ -42,7 +42,6 @@ from .errors import CalibrationInfeasibleError, UsageError
 
 __all__ = [
     "CoincidenceCounts",
-    "UncertaintyReport",
     "stack_transmittance",
     "prepare",
     "calibrate_alpha",
@@ -81,10 +80,13 @@ def stack_transmittance(plate_count: int, refractive_index: float) -> float:
     Each plate has two air/glass interfaces; at the Brewster angle the
     single-interface s intensity transmittance is 4n^2/(1+n^2)^2, so the
     per-plate amplitude t = sqrt(T1*T2) equals that same expression. The p
-    polarization passes without reflection. An index so large that the
-    expression leaves the float range is refused.
+    polarization passes without reflection. An index that is not a real
+    number, or so large that the expression leaves the float range, is
+    refused.
     """
     plates = _plate_count(plate_count)
+    if not isinstance(refractive_index, numbers.Real):
+        raise UsageError(f"refractive index must be a real number, got {refractive_index!r}")
     n = float(refractive_index)
     if not n > 1.0:
         raise UsageError(f"refractive index must exceed 1, got {n}")
@@ -293,22 +295,8 @@ def sample_coincidences(p, shots: int, seed: int) -> CoincidenceCounts:
     return CoincidenceCounts(*counts.tolist())
 
 
-@dataclass(frozen=True)
-class UncertaintyReport:
-    """Inferred normalized uncertainties estimated from sampled counts.
-
-    ``product_stderr`` is the delta-method standard error of the
-    simultaneous product ``delta_a_prime * delta_b_prime``.
-    """
-
-    delta_a_prime: float
-    delta_b_prime: float
-    product_simultaneous: float
-    product_stderr: float
-
-
-def estimate_report(counts: CoincidenceCounts, c_measured: float) -> UncertaintyReport:
-    """Reduce raw coincidence counts to an uncertainty report.
+def estimate_report(counts: CoincidenceCounts, c_measured: float) -> tuple[float, float]:
+    """Reduce raw coincidence counts to the simultaneous product and its stderr.
 
     The object's B+ marginal (n_b+ = n_pp + n_pm of N shots) and the probe's
     M+ marginal (n_m+ = n_pp + n_mp) give the two-point outcome
@@ -324,8 +312,8 @@ def estimate_report(counts: CoincidenceCounts, c_measured: float) -> Uncertainty
          + 2 (n_b- - n_b+)(n_m- - n_m+)(n_pp N - n_b+ n_m+)]
         / (4 n_b+ n_b- n_m+ n_m- N).
 
-    Each count ratio is one correctly rounded division of integers, so a
-    nearly pure marginal keeps full precision.
+    Returns (product, stderr). Each count ratio is one correctly rounded
+    division of integers, so a nearly pure marginal keeps full precision.
     """
     c = float(c_measured)
     protocol.probe_noise(c)  # a singular overlap cannot be rescaled
@@ -337,8 +325,6 @@ def estimate_report(counts: CoincidenceCounts, c_measured: float) -> Uncertainty
         warnings.warn("a marginal has zero weight; uncertainty estimate is degenerate",
                       stacklevel=2)
 
-    db_prime = 2.0 / c * math.sqrt(b_var / (n * n))
-    da_prime = 2.0 / math.sqrt(1.0 - c * c) * math.sqrt(m_var / (n * n))
     product = 4.0 / (c * math.sqrt(1.0 - c * c)) * math.sqrt(b_var * m_var / n ** 4)
 
     if b_var and m_var:
@@ -349,24 +335,23 @@ def estimate_report(counts: CoincidenceCounts, c_measured: float) -> Uncertainty
         stderr = product * math.sqrt(rel_var)
     else:
         stderr = 0.0
-
-    return UncertaintyReport(delta_a_prime=da_prime, delta_b_prime=db_prime,
-                             product_simultaneous=product, product_stderr=stderr)
+    return product, stderr
 
 
 def run_setting(x: float, y: float, c: float, shots: int, seed: int,
-                visibility: float = 1.0) -> tuple[CoincidenceCounts, UncertaintyReport]:
+                visibility: float = 1.0) -> tuple[CoincidenceCounts, float, float]:
     """Simulate a coincidence run at Bloch components (x, y) and overlap c.
 
     A visibility V below 1 shortens the Bloch vector to (V x, V y), the
     white-noise mixture V rho + (1 - V) I/4 that mimics imperfect state
     purity. Samples `protocol.joint_distribution(V x, V y, c)` and reduces
     the counts with the exact c as the measured overlap, i.e. a perfectly
-    calibrated one. Works for object eigenstates (x = +-1) too.
+    calibrated one, and returns (counts, product, stderr). Works for object
+    eigenstates (x = +-1) too.
     """
     protocol.probe_noise(c)  # a singular overlap cannot be rescaled
     if not 0.0 <= visibility <= 1.0:
         raise UsageError(f"visibility must be in [0, 1], got {visibility}")
     p = protocol.joint_distribution(visibility * x, visibility * y, c)
     counts = sample_coincidences(p, shots, seed)
-    return counts, estimate_report(counts, c)
+    return (counts, *estimate_report(counts, c))

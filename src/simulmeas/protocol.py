@@ -29,10 +29,10 @@ pair, with inferred uncertainties
 
 whose product is minimized to 1 + delta_a*delta_b at
 c = sqrt(delta_a/(delta_a + delta_b)). This module implements these closed
-forms, both product extrema and a brute-force scan that cross-checks the
-optimum from the same (delta_a, delta_b), pure or mixed. A state is the
-plain pair (w, sign), and `sharp_deltas` is the one check that w lies in
-[0, 1]. The module does no amplitude arithmetic: the closed forms take
+forms, both product extrema and a brute-force grid scan that cross-checks
+the optimum from the same (delta_a, delta_b), pure or mixed. A state is
+the plain pair (w, sign), and `sharp_deltas` is the one check that w lies
+in [0, 1]. The module does no amplitude arithmetic: the closed forms take
 floats or numpy arrays alike, and their amplitude-level derivation lives
 in `qmath`, which only the tests use, together with the argument that no
 single von Neumann measurement can do the same job.
@@ -42,8 +42,6 @@ All uncertainties are normalized by the eigenvalue magnitudes.
 """
 
 from __future__ import annotations
-
-import math
 
 import numpy as np
 
@@ -158,27 +156,10 @@ def max_product(c):
     return 1.0 / (c * np.sqrt(1.0 - c * c))
 
 
-_INV_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 _SCAN_EDGE = 1e-4
 _SCAN_POINTS = 1000
-_GOLDEN_TOL = 1e-10
-
-
-def _golden_min(f, lo: float, hi: float) -> float:
-    # standard golden-section bracket shrink; f assumed unimodal on [lo, hi]
-    x1 = hi - _INV_GOLDEN * (hi - lo)
-    x2 = lo + _INV_GOLDEN * (hi - lo)
-    f1, f2 = f(x1), f(x2)
-    while hi - lo > _GOLDEN_TOL:
-        if f1 <= f2:
-            hi, x2, f2 = x2, x1, f1
-            x1 = hi - _INV_GOLDEN * (hi - lo)
-            f1 = f(x1)
-        else:
-            lo, x1, f1 = x1, x2, f2
-            x2 = lo + _INV_GOLDEN * (hi - lo)
-            f2 = f(x2)
-    return 0.5 * (lo + hi)
+# the first grid, then two rescans of the bracket around the previous minimum
+_SCAN_PASSES = 3
 
 
 def numeric_c_scan(delta_a: float, delta_b: float) -> tuple[float, float, bool]:
@@ -186,20 +167,23 @@ def numeric_c_scan(delta_a: float, delta_b: float) -> tuple[float, float, bool]:
 
     Takes the (delta_a, delta_b) of `min_product`, pure or mixed. Returns
     (c_best, product_best, boundary). Scans 1000 uniform points on
-    (1e-4, 1-1e-4), then refines the best bracket by golden-section search.
-    A minimizer at the first or last grid point is flagged as a boundary:
-    the true optimum is a limit there (overlap 0 or 1), not an interior
-    point.
+    (1e-4, 1-1e-4), then twice rescans 1000 points across [c[k-1], c[k+1]]
+    around the last minimizer c[k], which resolves c to about 1e-8. The
+    product is formed here, not by the closed forms it checks. A minimizer at
+    the first or last point of the first grid is flagged as a boundary: the
+    true optimum is a limit there (overlap 0 or 1), not an interior point.
     """
     def product(c):
         one_minus = 1.0 - c * c
         return np.sqrt((delta_a * delta_a + c * c / one_minus)
                        * (delta_b * delta_b + one_minus / (c * c)))
 
-    grid = np.linspace(_SCAN_EDGE, 1.0 - _SCAN_EDGE, _SCAN_POINTS)
-    k = int(np.argmin(product(grid)))
-    boundary = k == 0 or k == _SCAN_POINTS - 1
-    lo = grid[max(k - 1, 0)]
-    hi = grid[min(k + 1, _SCAN_POINTS - 1)]
-    c_best = _golden_min(product, lo, hi)
-    return (float(c_best), float(product(c_best)), boundary)
+    lo, hi = _SCAN_EDGE, 1.0 - _SCAN_EDGE
+    for scan in range(_SCAN_PASSES):
+        grid = np.linspace(lo, hi, _SCAN_POINTS)
+        values = product(grid)
+        k = int(np.argmin(values))
+        if scan == 0:
+            boundary = k == 0 or k == _SCAN_POINTS - 1
+        lo, hi = grid[max(k - 1, 0)], grid[min(k + 1, _SCAN_POINTS - 1)]
+    return (float(grid[k]), float(values[k]), boundary)

@@ -301,6 +301,27 @@ class TestMcCommand:
         assert [p["seed"] for p in points] == [1, 2]
         assert all(set(p) == set(cli.MC_COLUMNS) for p in points)
 
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_out_record_matches_the_printed_lines(self, capsys, tmp_path, fmt):
+        out_path = tmp_path / "point"
+        code, out, _ = run(capsys, "mc", "--w", "0.8", "--c", "0.6", "--shots", "5000",
+                           "--seed", "3", "--visibility", "0.95",
+                           "--format", fmt, "--out", str(out_path))
+        assert code == 0
+        # the printed values, in MC_COLUMNS order
+        printed = list(re.search(
+            r"w_a_plus = (\S+)  c = (\S+)  shots = (\S+)  seed = (\S+)  visibility = (\S+)\n"
+            r".*\nmeasured product = (\S+)  stderr = (\S+)\nanalytic product = (\S+)  ",
+            out).groups())
+        if fmt == "csv":
+            header, row = out_path.read_text().splitlines()
+            assert header.split(",") == cli.MC_COLUMNS
+            assert row.split(",") == printed
+        else:
+            record = json.loads(out_path.read_text())
+            assert list(record) == cli.MC_COLUMNS
+            assert [format(v, ".12g") for v in record.values()] == printed
+
     def test_thick_stack_setting(self, capsys):
         # the root near alpha = 0 of a 200-plate stack: delta_a and delta_b
         # come from the prepared state, so the analytic product sits on the floor
@@ -471,7 +492,7 @@ GOLDEN = [
         "product = 1.43301270642",
         "closed-form optimum: c_opt = 0.796225217018  min_product = 1.43301270189  "
         "[at optimum]",
-        "numeric scan: c_best = 0.79622521573  product_best = 1.43301270189",
+        "numeric scan: c_best = 0.796225218474  product_best = 1.43301270189",
         "max product at c = 0.7962: 2.07586157918"), ""),
     ("state --w 0.3 --sign - --c 0.5", 0, _lines(
         "equatorial state: w_a_plus = 0.3, sign = -",
@@ -481,7 +502,7 @@ GOLDEN = [
         "unsharp at c = 0.5: delta_a' = 1.08320512062  delta_b' = 1.77763888346  "
         "product = 1.92554754118",
         "closed-form optimum: c_opt = 0.834366565305  min_product = 1.3666060556",
-        "numeric scan: c_best = 0.834366560911  product_best = 1.3666060556",
+        "numeric scan: c_best = 0.834366564197  product_best = 1.3666060556",
         "max product at c = 0.5: 2.30940107676"), ""),
     ("state --w 1 --c 0.9999999999999999", 0, _lines(
         "equatorial state: w_a_plus = 1, sign = +",
@@ -490,7 +511,7 @@ GOLDEN = [
         "sharp uncertainties: delta_a = 0  delta_b = 1  product = 0",
         "unsharp at c = 1: delta_a' = 67108864  delta_b' = 1  product = 67108864",
         "closed-form optimum: c_opt = 0  min_product = 1",
-        "numeric scan: c_best = 0.000100000039241  product_best = 1.000000005 (boundary)",
+        "numeric scan: c_best = 0.0001  product_best = 1.000000005 (boundary)",
         "max product at c = 1: 67108864"),
      _lines("warning: c is near a singular boundary; one rescaled eigenvalue is very large")),
     ("state --w 1.5 --c 0.5", 2, "", _lines("error: w_a_plus must be in [0, 1], got 1.5")),

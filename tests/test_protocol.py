@@ -326,13 +326,20 @@ class TestNumericCScan:
             c_best, product_best, boundary = numeric_c_scan(*sharp_deltas(w))
             value, c_opt = min_product(*sharp_deltas(w))
             assert not boundary
-            assert product_best == pytest.approx(value, abs=1e-6)
-            assert c_best == pytest.approx(c_opt, abs=1e-4)
+            assert product_best == pytest.approx(value, rel=1e-12)
+            assert c_best == pytest.approx(c_opt, abs=5e-8)
 
     def test_boundary_flag_at_b_eigenstate(self):
         _, product_best, boundary = numeric_c_scan(*sharp_deltas(0.5))
         assert boundary
         assert product_best == pytest.approx(1.0, abs=1e-3)
+
+    def test_a_eigenstate_stops_at_the_grid_edge(self):
+        # the product 1/sqrt(1 - c^2) rises from c = 0, so every pass keeps
+        # the first grid point
+        c_best, _, boundary = numeric_c_scan(*sharp_deltas(1.0))
+        assert boundary
+        assert c_best == 1e-4
 
     @settings(max_examples=300, deadline=None)
     @given(x=st.floats(-1, 1), y=st.floats(-1, 1))
@@ -346,4 +353,4 @@ class TestNumericCScan:
         if SCAN_GRID[1] < c_opt < SCAN_GRID[-2]:
             assert not boundary
             assert product_best == pytest.approx(value, rel=1e-9)
-            assert c_best == pytest.approx(c_opt, abs=1e-4)
+            assert c_best == pytest.approx(c_opt, abs=5e-8)
