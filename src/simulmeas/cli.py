@@ -50,9 +50,10 @@ MC_COLUMNS = ["w_a_plus", "c_used", "shots", "seed", "visibility",
 SWEEP_NOTE = ("products are symmetric about w_a_plus = 0.5; "
               "max_product diverges where c_opt reaches 0 or 1")
 
-# largest sweep grid: ten times the largest sweep perfbench runs; rendering
-# JSON peaks at about 0.75 kB of memory a row (a 100 001-row JSON sweep
-# peaks at 105 MB resident, 29 MB of it the interpreter and numpy)
+# largest sweep grid: ten times the largest sweep perfbench runs. A sweep is
+# written in blocks of rows, so memory does not bound it (10^6 JSON rows
+# peak at about 43 MB resident); time does: 10^6 JSON rows take 6-8 s on a
+# shared 2-CPU host.
 MAX_GRID = 10 ** 6
 
 # the settings a config file may pin, and their defaults; a file value is
@@ -133,19 +134,34 @@ def _sweep_grid(grid: int, full_range: bool) -> np.ndarray:
     return lo + step * np.arange(grid)
 
 
+# rows computed and written per block: a block's cells and text are all a
+# sweep holds in memory at a time
+_CHUNK_ROWS = 4096
+
+
+def _sweep_chunks(w: np.ndarray):
+    """`sweep_columns` of ``w`` block by block; each value has the bits the
+    whole array would give, as the closed forms act element by element."""
+    for lo in range(0, len(w), _CHUNK_ROWS):
+        yield sweep_columns(w[lo:lo + _CHUNK_ROWS])
+
+
 _CSV_HEAD = f"# {SWEEP_NOTE}\n{','.join(SWEEP_COLUMNS)}\n"
 _CSV_ROW = ",".join(["%.12g"] * len(SWEEP_COLUMNS)) + "\n"
-_JSON_DOC = '{\n  "note": ' + json.dumps(SWEEP_NOTE) + ',\n  "rows": [\n%s\n  ]\n}\n'
+_JSON_HEAD = '{\n  "note": ' + json.dumps(SWEEP_NOTE) + ',\n  "rows": [\n'
+_JSON_TAIL = "\n  ]\n}\n"
 # the layout json.dumps(indent=2) gives each row; %s renders a float as its
 # shortest repr, as json does
 _JSON_ROW = "    {\n%s\n    }" % ",\n".join(f'      "{col}": %s' for col in SWEEP_COLUMNS)
 
 
-def render_sweep_csv(columns: dict) -> str:
-    """The sweep as CSV: a note, the header and one 12-digit row per w."""
-    cells = (columns[col].tolist() for col in SWEEP_COLUMNS)
-    # list() before join, so the cell values are freed before the text is built
-    return _CSV_HEAD + "".join(list(map(_CSV_ROW.__mod__, zip(*cells))))
+def render_sweep_csv(chunks, out) -> None:
+    """Write the sweep to ``out`` as CSV: a note, the header and one 12-digit
+    row per w, block by block from the `sweep_columns` dicts ``chunks``."""
+    out.write(_CSV_HEAD)
+    for columns in chunks:
+        cells = (columns[col].tolist() for col in SWEEP_COLUMNS)
+        out.write("".join(map(_CSV_ROW.__mod__, zip(*cells))))
 
 
 def _json_cells(column: np.ndarray) -> list:
@@ -156,18 +172,16 @@ def _json_cells(column: np.ndarray) -> list:
     return cells
 
 
-def render_sweep_json(columns: dict) -> str:
-    """The sweep as the bytes of ``json.dumps({"note", "rows"}, indent=2)``."""
-    cells = (_json_cells(columns[col]) for col in SWEEP_COLUMNS)
-    return _JSON_DOC % ",\n".join(list(map(_JSON_ROW.__mod__, zip(*cells))))
-
-
-def _write_text(path: str | None, text: str):
-    if path is None:
-        sys.stdout.write(text)
-    else:
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+def render_sweep_json(chunks, out) -> None:
+    """Write the sweep to ``out`` as the bytes of ``json.dumps({"note", "rows"},
+    indent=2)``, block by block from the `sweep_columns` dicts ``chunks``."""
+    out.write(_JSON_HEAD)
+    sep = ""
+    for columns in chunks:
+        cells = (_json_cells(columns[col]) for col in SWEEP_COLUMNS)
+        out.write(sep + ",\n".join(map(_JSON_ROW.__mod__, zip(*cells))))
+        sep = ",\n"
+    out.write(_JSON_TAIL)
 
 
 def _append_point(path: str | None, fmt: str, row: tuple):
@@ -214,9 +228,13 @@ def cmd_state(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    columns = sweep_columns(_sweep_grid(args.grid, args.full_range))
-    text = render_sweep_json(columns) if args.format == "json" else render_sweep_csv(columns)
-    _write_text(args.out, text)
+    w = _sweep_grid(args.grid, args.full_range)
+    render = render_sweep_json if args.format == "json" else render_sweep_csv
+    if args.out is None:
+        render(_sweep_chunks(w), sys.stdout)
+    else:
+        with open(args.out, "w", encoding="utf-8", newline="") as fh:
+            render(_sweep_chunks(w), fh)
     return EXIT_OK
 
 

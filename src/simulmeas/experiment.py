@@ -87,7 +87,10 @@ def stack_transmittance(plate_count: int, refractive_index: float) -> float:
     plates = _plate_count(plate_count)
     if not isinstance(refractive_index, numbers.Real):
         raise UsageError(f"refractive index must be a real number, got {refractive_index!r}")
-    n = float(refractive_index)
+    try:
+        n = float(refractive_index)
+    except OverflowError:
+        raise UsageError("refractive index is out of range: it does not fit a float") from None
     if not n > 1.0:
         raise UsageError(f"refractive index must exceed 1, got {n}")
     try:
@@ -197,6 +200,7 @@ def calibrate_alpha(plate_count: int,
     k^2 - k_min^2 and the threshold index n*(N), explained on a diagnostic line.
     """
     t_s = stack_transmittance(plate_count, refractive_index)
+    index = float(refractive_index)  # any Real index formats as its float value
     t2 = t_s * t_s
     k = (1.0 - t2) / (1.0 + t2)
     k2 = k * k
@@ -227,12 +231,12 @@ def calibrate_alpha(plate_count: int,
             advice = f"this plate count calibrates above index n* = {n_star:.7f}"
         raise CalibrationInfeasibleError(
             f"no rotation angle reaches the optimal product for {plate_count} plates "
-            f"at index {refractive_index:.12g}: {why}\n"
+            f"at index {index:.12g}: {why}\n"
             f"diagnostic: margin k^2 - k_min^2 = {margin:+.7f}; {advice}",
             margin=margin, threshold_index=n_star)
     if len(roots) != 2:
         warnings.warn(
-            f"{plate_count} plates at index {refractive_index:.12g}: expected 2 calibration "
+            f"{plate_count} plates at index {index:.12g}: expected 2 calibration "
             f"roots, found {len(roots)}", stacklevel=2)
     return roots
 

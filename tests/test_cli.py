@@ -1,4 +1,5 @@
 import argparse
+import io
 import json
 import math
 import os
@@ -188,18 +189,26 @@ def reference_json(columns):
     return json.dumps(doc, indent=2) + "\n"
 
 
+def render(renderer, grid, full_range):
+    """The text ``renderer`` writes for the sweep of ``grid`` rows."""
+    out = io.StringIO()
+    renderer(cli._sweep_chunks(cli._sweep_grid(grid, full_range)), out)
+    return out.getvalue()
+
+
 class TestSweepRendering:
     @pytest.mark.parametrize("full_range", [False, True])
-    @pytest.mark.parametrize("grid", [2, 3, 201, 4481])
+    @pytest.mark.parametrize("grid", [2, 3, 201, 4481, cli._CHUNK_ROWS - 1, cli._CHUNK_ROWS,
+                                      cli._CHUNK_ROWS + 1, 2 * cli._CHUNK_ROWS + 1])
     def test_bytes_match_the_reference(self, grid, full_range):
         columns = sweep_columns(cli._sweep_grid(grid, full_range))
-        assert cli.render_sweep_csv(columns) == reference_csv(columns)
-        assert cli.render_sweep_json(columns) == reference_json(columns)
+        assert render(cli.render_sweep_csv, grid, full_range) == reference_csv(columns)
+        assert render(cli.render_sweep_json, grid, full_range) == reference_json(columns)
 
     @pytest.mark.parametrize("full_range", [False, True])
     def test_json_null_where_max_product_diverges(self, full_range):
         columns = sweep_columns(cli._sweep_grid(201, full_range))
-        rows = json.loads(cli.render_sweep_json(columns))["rows"]
+        rows = json.loads(render(cli.render_sweep_json, 201, full_range))["rows"]
         # c_opt reaches 1 at w = 1/2 and 0 at w = 0 and 1
         diverges = ~np.isfinite(columns["max_product"])
         assert columns["w_a_plus"][diverges].tolist() == ([0.0, 0.5, 1.0] if full_range
@@ -207,6 +216,59 @@ class TestSweepRendering:
         assert [row["max_product"] is None for row in rows] == diverges.tolist()
         assert all(v is not None for row in rows for col, v in row.items()
                    if col != "max_product")
+
+
+# peak resident memory of a fresh interpreter that runs one sweep into a file
+PEAK_RSS_CODE = """
+import resource, sys
+from simulmeas.cli import main
+assert main(sys.argv[1:]) == 0
+print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
+"""
+# on Linux a process's ru_maxrss starts at the resident size of the process
+# that spawned it, so a small interpreter, not pytest, starts the measured one
+LAUNCH_CODE = "import subprocess, sys; sys.exit(subprocess.call([sys.executable, *sys.argv[1:]]))"
+
+
+def sweep_peak_rss_kb(tmp_path, *argv):
+    proc = run_python(tmp_path, "-c", LAUNCH_CODE, "-c", PEAK_RSS_CODE, "sweep", *argv,
+                      "--out", "sweep.out")
+    assert proc.returncode == 0, proc.stderr
+    return int(proc.stdout.split()[-1])
+
+
+class TestSweepStream:
+    def test_bad_grid_creates_no_file(self, capsys, tmp_path):
+        path = tmp_path / "never.csv"
+        code, out, err = run(capsys, "sweep", "--grid", "1", "--out", str(path))
+        assert code == cli.EXIT_USAGE and out == "" and err.startswith("error:")
+        assert not path.exists()
+
+    def test_memory_does_not_grow_with_the_grid(self, tmp_path):
+        # the 100 001-row JSON sweep perfbench probes for peak memory, against
+        # a 201-row one; a sweep held in memory whole differs by about 75 MB
+        pytest.importorskip("resource")
+        large = sweep_peak_rss_kb(tmp_path, "--grid", "100001", "--full-range",
+                                  "--format", "json")
+        small = sweep_peak_rss_kb(tmp_path, "--grid", "201")
+        assert (large - small) / 1024 < 16
+
+    def test_broken_pipe_is_an_io_error(self, capsys, monkeypatch):
+        # the reader of stdout goes away after the first block is written
+        writes = []
+
+        def write(text):
+            writes.append(text)
+            if len(writes) == 2:
+                raise BrokenPipeError(32, "Broken pipe")
+            return len(text)
+
+        monkeypatch.setattr(sys.stdout, "write", write)
+        code = main(["sweep", "--grid", "100001"])
+        monkeypatch.undo()
+        _, err = capsys.readouterr()
+        assert code == cli.EXIT_IO
+        assert err.splitlines() == ["i/o error: [Errno 32] Broken pipe"]
 
 
 class TestCalibrateCommand:

@@ -151,6 +151,19 @@ class TestPlateTransmittance:
                 calibrate_alpha(plates, "1.5")
         assert stack_transmittance(7, np.float32(1.5)) == stack_transmittance(7, 1.5)
 
+    @pytest.mark.parametrize("n", [10 ** 400, -10 ** 400, Fraction(10 ** 400)],
+                             ids=["int", "negative-int", "fraction"])
+    def test_rejects_an_index_past_the_float_range(self, n):
+        # as an out-of-range float index is refused, not an OverflowError
+        with pytest.raises(UsageError, match="does not fit a float"):
+            stack_transmittance(1, n)
+
+    def test_a_fraction_index_names_its_value(self):
+        # 7 plates at n = 1.5 are too leaky; the message formats the index as a float
+        with pytest.raises(CalibrationInfeasibleError, match=r"at index 1\.5: "):
+            calibrate_alpha(7, Fraction(3, 2))
+        assert calibrate_alpha(10, Fraction(3, 2)) == calibrate_alpha(10, 1.5)
+
 
 def reference_state(t_s, alpha):
     """(w, sign, c, yield, p) of the setting by the amplitude route."""
