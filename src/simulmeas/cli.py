@@ -60,6 +60,7 @@ MAX_GRID = 10 ** 6
 # parsed with its default's type
 SETTINGS = {"seed": 20251, "shots": 100_000, "visibility": 1.0,
             "index": experiment.DEFAULT_REFRACTIVE_INDEX, "grid": 201, "format": "csv"}
+_FORMATS = ("csv", "json")
 
 
 def _fmt(x) -> str:
@@ -98,7 +99,7 @@ def load_config_file(path: str) -> dict:
             values[key] = type(SETTINGS[key])(val)
         except ValueError as exc:
             raise UsageError(f"{path}:{lineno}: bad value for {key!r}: {val!r}") from exc
-    if "format" in values and values["format"] not in ("csv", "json"):
+    if "format" in values and values["format"] not in _FORMATS:
         raise UsageError(f"{path}: format must be 'csv' or 'json'")
     return values
 
@@ -330,7 +331,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--full-range", action="store_true",
                          help="sweep w in [0, 1] instead of [0.5, 1]")
     p_sweep.add_argument("--out", default=None, help="output path (default stdout)")
-    p_sweep.add_argument("--format", choices=["csv", "json"], default=None,
+    p_sweep.add_argument("--format", choices=_FORMATS, default=None,
                          help=f"output format (default {SETTINGS['format']})")
     p_sweep.set_defaults(func=cmd_sweep)
 
@@ -354,7 +355,7 @@ def build_parser() -> argparse.ArgumentParser:
                       help=f"state visibility in [0, 1] (default {SETTINGS['visibility']})")
     p_mc.add_argument("--index", type=float, default=None, help=index_help)
     p_mc.add_argument("--out", default=None, help="append the measured point here")
-    p_mc.add_argument("--format", choices=["csv", "json"], default=None,
+    p_mc.add_argument("--format", choices=_FORMATS, default=None,
                       help=f"format of the --out file (default {SETTINGS['format']})")
     p_mc.set_defaults(func=cmd_mc)
     return parser

@@ -18,13 +18,8 @@ purity is a visibility V: the white-noise mixture V rho + (1 - V) I/4
 shortens the object's Bloch vector to (V x, V y), and since the coincidence
 distribution is affine in x and y about 1/4, `run_setting` samples exactly
 `protocol.joint_distribution(V x, V y, c)`. Coincidence counting is seeded
-multinomial sampling over those four joint outcomes. `estimate_report`
-reduces the integer counts the way the measured data would be processed:
-empirical marginals, rescaled two-point distributions, then standard
-deviations. It returns the simultaneous product and its delta-method
-standard error. The count ratios in the product and in its variance are
-each rounded once, so the estimate keeps full precision for any counts up
-to the sampler's 2^63 - 1 shots, nearly pure marginals included.
+multinomial sampling over those four joint outcomes, and `estimate_report`
+reduces the counts to the simultaneous product and its standard error.
 """
 
 from __future__ import annotations
@@ -305,7 +300,8 @@ def estimate_report(counts: CoincidenceCounts, c_measured: float) -> tuple[float
     The object's B+ marginal (n_b+ = n_pp + n_pm of N shots) and the probe's
     M+ marginal (n_m+ = n_pp + n_mp) give the two-point outcome
     distributions; rescaling by 1/c and 1/sqrt(1-c^2) and taking standard
-    deviations mirrors how measured coincidence data are reduced:
+    deviations mirrors how measured coincidence data are reduced. The factor
+    is 4 `protocol.max_product(c)`, which also refuses a singular overlap:
 
         product = 4/(c sqrt(1-c^2)) * sqrt(n_b+ n_b- n_m+ n_m- / N^4).
 
@@ -317,29 +313,25 @@ def estimate_report(counts: CoincidenceCounts, c_measured: float) -> tuple[float
         / (4 n_b+ n_b- n_m+ n_m- N).
 
     Returns (product, stderr). Each count ratio is one correctly rounded
-    division of integers, so a nearly pure marginal keeps full precision.
+    division of integers, so the estimate keeps full precision up to the
+    sampler's 2^63 - 1 shots, nearly pure marginals included.
     """
-    c = float(c_measured)
-    protocol.probe_noise(c)  # a singular overlap cannot be rescaled
+    # scaling by 4 is exact, so this rounds as 4/(c sqrt(1-c^2)) would
+    scale = 4.0 * float(protocol.max_product(float(c_measured)))
     n = counts.shots
     b_plus, m_plus = counts.n_pp + counts.n_pm, counts.n_pp + counts.n_mp
     b_minus, m_minus = n - b_plus, n - m_plus
     b_var, m_var = b_plus * b_minus, m_plus * m_minus  # times N^2
+    product = scale * math.sqrt(b_var * m_var / n ** 4)
     if not (b_var and m_var):
         warnings.warn("a marginal has zero weight; uncertainty estimate is degenerate",
                       stacklevel=2)
-
-    product = 4.0 / (c * math.sqrt(1.0 - c * c)) * math.sqrt(b_var * m_var / n ** 4)
-
-    if b_var and m_var:
-        u, v = b_minus - b_plus, m_minus - m_plus
-        rel_var = ((u * u * m_var + v * v * b_var
-                    + 2 * u * v * (counts.n_pp * n - b_plus * m_plus))
-                   / (4 * b_var * m_var * n))
-        stderr = product * math.sqrt(rel_var)
-    else:
-        stderr = 0.0
-    return product, stderr
+        return product, 0.0
+    u, v = b_minus - b_plus, m_minus - m_plus
+    rel_var = ((u * u * m_var + v * v * b_var
+                + 2 * u * v * (counts.n_pp * n - b_plus * m_plus))
+               / (4 * b_var * m_var * n))
+    return product, product * math.sqrt(rel_var)
 
 
 def run_setting(x: float, y: float, c: float, shots: int, seed: int,

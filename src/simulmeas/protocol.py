@@ -131,6 +131,16 @@ def unsharp_product(delta_a, delta_b, c):
 # --------------------------------------------------------------------------
 # product extrema
 
+def _check_sharp_pair(delta_a, delta_b):
+    """Refuse a pair no state has: a negative or non-finite value, or both zero."""
+    if np.any(np.minimum(delta_a, delta_b) < 0.0):
+        raise UsageError("sharp uncertainties must be non-negative")
+    if not np.all(np.isfinite(delta_a) & np.isfinite(delta_b)):
+        raise UsageError("sharp uncertainties must be finite")
+    if np.any(delta_a + delta_b <= 0.0):
+        raise UsageError("delta_a = delta_b = 0 is impossible for a valid state")
+
+
 def min_product(delta_a, delta_b):
     """Minimum simultaneous product and the overlap achieving it.
 
@@ -138,12 +148,8 @@ def min_product(delta_a, delta_b):
     boundary values c_opt = 0 and 1 mark the limits where one observable is
     measured exactly.
     """
-    if np.any(np.minimum(delta_a, delta_b) < 0.0):
-        raise UsageError("sharp uncertainties must be non-negative")
-    total = delta_a + delta_b
-    if np.any(total <= 0.0):
-        raise UsageError("delta_a = delta_b = 0 is impossible for a valid state")
-    return (1.0 + delta_a * delta_b, np.sqrt(delta_a / total))
+    _check_sharp_pair(delta_a, delta_b)
+    return (1.0 + delta_a * delta_b, np.sqrt(delta_a / (delta_a + delta_b)))
 
 
 def max_product(c):
@@ -165,7 +171,7 @@ _SCAN_PASSES = 3
 def numeric_c_scan(delta_a: float, delta_b: float) -> tuple[float, float, bool]:
     """Brute-force minimization of the simultaneous product over the overlap.
 
-    Takes the (delta_a, delta_b) of `min_product`, pure or mixed. Returns
+    Takes and refuses what `min_product` does, pure or mixed. Returns
     (c_best, product_best, boundary). Scans 1000 uniform points on
     (1e-4, 1-1e-4), then twice rescans 1000 points across [c[k-1], c[k+1]]
     around the last minimizer c[k], which resolves c to about 1e-8. The
@@ -178,6 +184,7 @@ def numeric_c_scan(delta_a: float, delta_b: float) -> tuple[float, float, bool]:
         return np.sqrt((delta_a * delta_a + c * c / one_minus)
                        * (delta_b * delta_b + one_minus / (c * c)))
 
+    _check_sharp_pair(delta_a, delta_b)
     lo, hi = _SCAN_EDGE, 1.0 - _SCAN_EDGE
     for scan in range(_SCAN_PASSES):
         grid = np.linspace(lo, hi, _SCAN_POINTS)

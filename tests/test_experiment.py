@@ -471,6 +471,13 @@ class TestEstimateReport:
         with pytest.raises(RescalingSingularError):
             estimate_report(counts, 0.0)
 
+    @pytest.mark.parametrize("c", [0.0, 1.0])
+    def test_singular_overlap_is_refused_before_the_degenerate_warning(self, c):
+        # both marginals are pure here, so a warning first would be an error
+        with warnings.catch_warnings(), pytest.raises(RescalingSingularError):
+            warnings.simplefilter("error")
+            estimate_report(CoincidenceCounts(10, 0, 0, 0), c)
+
     @pytest.mark.filterwarnings("ignore:a marginal has zero weight")
     @settings(max_examples=400, deadline=None)
     @given(n=count_cells(), c=st.floats(1e-150, 1 - 1e-12))

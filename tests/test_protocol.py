@@ -305,6 +305,16 @@ class TestProductExtrema:
         with pytest.raises(UsageError):
             min_product(0.0, 0.0)
 
+    @pytest.mark.parametrize("extremum", [min_product, numeric_c_scan])
+    @pytest.mark.parametrize("pair, message", [
+        ((0.0, 0.0), "impossible"), ((-1.0, 0.5), "non-negative"),
+        ((math.nan, 0.5), "finite"), ((math.inf, 0.5), "finite")],
+        ids=["zeros", "negative", "nan", "inf"])
+    def test_impossible_pairs_are_refused(self, extremum, pair, message):
+        # the scan refuses exactly what the closed form refuses
+        with pytest.raises(UsageError, match=message):
+            extremum(*pair)
+
     def test_max_product(self):
         assert max_product(1 / math.sqrt(2)) == pytest.approx(2.0, abs=1e-12)
         assert max_product(0.6) == pytest.approx(1 / 0.48, abs=1e-12)
