@@ -15,6 +15,11 @@ subcommand reads and validates it, even one that uses none of its keys.
 
 Warnings a subcommand raises print as ``warning: <message>`` lines on stderr.
 
+In a long-lived process, `main` builds its parser on the first call and
+reuses it; nothing carries from one call to the next. `build_parser`
+returns a new parser on each call, and a shell call pays for one import and
+one parser build as before.
+
 Exit codes: 0 success, 2 usage error, 3 singular rescaling, 4 infeasible
 calibration, 5 I/O error; each package error prints as ``error: <message>``
 and exits with its class's code in `EXIT_CODES`.
@@ -365,9 +370,16 @@ def _print_warning(message, category, filename, lineno, file=None, line=None):
     print(f"warning: {message}", file=sys.stderr)
 
 
+# the parser `main` builds on its first call and reuses: building it costs
+# more than most ops, and parse_args carries nothing from call to call
+_parser = None
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    global _parser
+    if _parser is None:
+        _parser = build_parser()
+    args = _parser.parse_args(argv)
     # a warning is a diagnostic line for the shell user, printed as it is
     # raised and without the source location Python's default adds
     with warnings.catch_warnings():

@@ -132,13 +132,19 @@ def unsharp_product(delta_a, delta_b, c):
 # product extrema
 
 def _check_sharp_pair(delta_a, delta_b):
-    """Refuse a pair no state has: a negative or non-finite value, or both zero."""
-    if np.any(np.minimum(delta_a, delta_b) < 0.0):
+    """Refuse a pair no state has: a negative or non-finite value, or both zero.
+
+    One test accepts a valid pair; only a refused one pays for finding its
+    message. It only compares, so NaN, inf or 1e308 raise no numpy warning.
+    """
+    lo, hi = np.minimum(delta_a, delta_b), np.maximum(delta_a, delta_b)
+    if ((0.0 <= lo) & (0.0 < hi) & (hi < np.inf)).all():
+        return
+    if (lo < 0.0).any():
         raise UsageError("sharp uncertainties must be non-negative")
-    if not np.all(np.isfinite(delta_a) & np.isfinite(delta_b)):
+    if not (np.isfinite(delta_a) & np.isfinite(delta_b)).all():
         raise UsageError("sharp uncertainties must be finite")
-    if np.any(delta_a + delta_b <= 0.0):
-        raise UsageError("delta_a = delta_b = 0 is impossible for a valid state")
+    raise UsageError("delta_a = delta_b = 0 is impossible for a valid state")
 
 
 def min_product(delta_a, delta_b):

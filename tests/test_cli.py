@@ -650,6 +650,52 @@ def test_golden_transcript(capsys, tmp_path, argv, code, out, err):
     assert run(capsys, *argv.format(cfg=cfg).split()) == (code, out, err)
 
 
+def run_exiting(capsys, *argv):
+    """`run`, with an argparse exit (usage error or --help) as the exit code."""
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+class TestParserReuse:
+    """`main` reuses one parser per process; nothing carries from call to call."""
+
+    POINT = ("mc", "--w", "0.6", "--c", "0.5", "--shots", "1000", "--seed", "3")
+
+    def test_explicit_point_after_a_calibrated_one(self, capsys):
+        alone = run(capsys, *self.POINT)
+        assert alone[0] == 0 and "w_a_plus = 0.6  c = 0.5" in alone[1]
+        assert run(capsys, "mc", "--plates", "10", "--root", "2", "--shots", "1000")[0] == 0
+        assert run(capsys, *self.POINT) == alone
+
+    def test_config_does_not_outlive_its_call(self, capsys, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("seed = 7\n")
+        point = ("mc", "--w", "0.8", "--c", "0.6", "--shots", "100")
+        assert "seed = 7 " in run(capsys, "--config", str(cfg), *point)[1]
+        assert f"seed = {cli.SETTINGS['seed']} " in run(capsys, *point)[1]
+
+    @pytest.mark.parametrize("argv, code", [(("mc", "--bogus"), 2), (("state", "--help"), 0)],
+                             ids=["usage-error", "help"])
+    def test_argparse_exit_leaves_the_next_call_alone(self, capsys, argv, code):
+        before = run(capsys, *self.POINT)
+        exit_code, out, err = run_exiting(capsys, *argv)
+        assert exit_code == code and "usage: simulmeas" in out + err
+        assert run(capsys, *self.POINT) == before
+
+    def test_golden_replayed_in_one_process(self, capsys, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("seed = 7\nshots = 5000\nvisibility = 0.95\n")
+        for argv, code, out, err in [*GOLDEN, *reversed(GOLDEN)]:
+            assert run(capsys, *argv.format(cfg=cfg).split()) == (code, out, err), argv
+
+    def test_build_parser_returns_a_new_parser(self):
+        assert cli.build_parser() is not cli.build_parser()
+
+
 @pytest.mark.parametrize("argv, twin", [
     ("state --w -0 --c 0.5", "state --w 0 --c 0.5"),
     # the second amplitude is -sqrt(0); the twin differs in the sign only

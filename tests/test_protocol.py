@@ -3,7 +3,7 @@ import sys
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from simulmeas import protocol, qmath
@@ -285,6 +285,31 @@ class TestClosedFormProperties:
             assert max_product(c_opt) >= value
 
 
+def three_test_pair_check(delta_a, delta_b):
+    """The sharp-pair check as it was before its single accept test."""
+    if np.any(np.minimum(delta_a, delta_b) < 0.0):
+        raise UsageError("sharp uncertainties must be non-negative")
+    if not np.all(np.isfinite(delta_a) & np.isfinite(delta_b)):
+        raise UsageError("sharp uncertainties must be finite")
+    if np.any(delta_a + delta_b <= 0.0):
+        raise UsageError("delta_a = delta_b = 0 is impossible for a valid state")
+
+
+def refusal(check, delta_a, delta_b):
+    """The type and message of what a pair check raises, or None if it accepts."""
+    try:
+        check(delta_a, delta_b)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return None
+
+
+# ordinary values and every kind a pair check refuses or could overflow on
+PAIR_VALUES = st.one_of(
+    st.floats(1e-6, 10.0),
+    st.sampled_from([0.0, -0.0, -1.0, -1e-300, math.nan, math.inf, -math.inf, 1e308]))
+
+
 class TestProductExtrema:
     def test_min_product_symmetric(self):
         value, c_opt = min_product(1 / math.sqrt(2), 1 / math.sqrt(2))
@@ -314,6 +339,21 @@ class TestProductExtrema:
         # the scan refuses exactly what the closed form refuses
         with pytest.raises(UsageError, match=message):
             extremum(*pair)
+
+    @given(st.lists(st.tuples(PAIR_VALUES, PAIR_VALUES), min_size=1, max_size=4),
+           st.sampled_from([float, np.float64, np.array]))
+    @example([(1e308, 1e308)], np.float64)
+    @example([(1e308, 1e308), (0.0, -0.0)], np.array)
+    def test_pair_check_refuses_what_three_tests_refused(self, pairs, form):
+        if form is np.array:
+            delta_a, delta_b = np.array(pairs).T
+        else:
+            delta_a, delta_b = map(form, pairs[0])
+        # the reference's sum overflows to inf on (1e308, 1e308), which still
+        # passes its test; the overflow warning is not one of its decisions
+        with np.errstate(over="ignore"):
+            expected = refusal(three_test_pair_check, delta_a, delta_b)
+        assert refusal(protocol._check_sharp_pair, delta_a, delta_b) == expected
 
     def test_max_product(self):
         assert max_product(1 / math.sqrt(2)) == pytest.approx(2.0, abs=1e-12)
