@@ -210,7 +210,7 @@ def _append_point(path: str | None, fmt: str, row: tuple):
 def cmd_state(args) -> int:
     w, sign = args.w, +1 if args.sign == "+" else -1
     delta_a, delta_b = protocol.sharp_deltas(w)
-    pb = protocol.b_probabilities(w, sign)
+    p_b = 0.5 + 0.5 * sign * delta_a  # P(B+) = (1 + y)/2, y = sign * delta_a
     da_prime, db_prime = protocol.unsharp_deltas(delta_a, delta_b, args.c)
     value, c_opt = protocol.min_product(delta_a, delta_b)
     c_best, product_best, boundary = protocol.numeric_c_scan(delta_a, delta_b)
@@ -218,7 +218,7 @@ def cmd_state(args) -> int:
     print(f"equatorial state: w_a_plus = {_fmt(w)}, sign = {args.sign}")
     print(f"amplitudes: [{_fmt(math.sqrt(w))}, {_fmt(sign * math.sqrt(1.0 - w))}]")
     print(f"sharp probabilities: A -> ({_fmt(w)}, {_fmt(1.0 - w)})   "
-          f"B -> ({_fmt(pb[0])}, {_fmt(pb[1])})")
+          f"B -> ({_fmt(p_b)}, {_fmt(1.0 - p_b)})")
     print(f"sharp uncertainties: delta_a = {_fmt(delta_a)}  delta_b = {_fmt(delta_b)}  "
           f"product = {_fmt(delta_a * delta_b)}")
     print(f"unsharp at c = {_fmt(args.c)}: delta_a' = {_fmt(da_prime)}  "
@@ -261,9 +261,9 @@ def cmd_calibrate(args) -> int:
 def _resolve_mc_setting(args) -> tuple[float, float, float, float]:
     """(w, c, x, y) of the setting to sample: a calibrated stack or an explicit point.
 
-    Visibility, c and w are checked in that fixed order, after the stack is
-    calibrated, so an input with several faults always gets the same exit
-    code.
+    A calibrated stack leaves visibility and c to `run_setting`; an explicit
+    setting checks them first, in that order, because w comes after them.
+    Either way an input with several faults always gets the same exit code.
     """
     if (args.plates is not None or args.root is not None) and (
             args.w is not None or args.c is not None):
@@ -275,17 +275,14 @@ def _resolve_mc_setting(args) -> tuple[float, float, float, float]:
         if not 1 <= root <= len(roots):
             raise UsageError(f"--root must be in 1..{len(roots)} for {args.plates} plates")
         x, y, c = experiment.prepare(t_s, roots[root - 1])
-        w = 0.5 * (1.0 + x)
-    elif args.w is None or args.c is None:
+        return 0.5 * (1.0 + x), c, x, y
+    if args.w is None or args.c is None:
         raise UsageError("mc needs either --plates (with --root) or both --w and --c")
-    else:
-        w, c, x, y = args.w, args.c, 2.0 * args.w - 1.0, None
     if not 0.0 <= args.visibility <= 1.0:
         raise UsageError(f"visibility must be in [0, 1], got {args.visibility}")
-    protocol.probe_noise(c)
-    if y is None:
-        y, _ = protocol.sharp_deltas(w)
-    return w, c, x, y
+    protocol.probe_noise(args.c)
+    y, _ = protocol.sharp_deltas(args.w)
+    return args.w, args.c, 2.0 * args.w - 1.0, y
 
 
 def cmd_mc(args) -> int:

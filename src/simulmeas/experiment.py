@@ -343,11 +343,12 @@ def run_setting(x: float, y: float, c: float, shots: int, seed: int,
     purity. Samples `protocol.joint_distribution(V x, V y, c)` and reduces
     the counts with the exact c as the measured overlap, i.e. a perfectly
     calibrated one, and returns (counts, product, stderr). Works for object
-    eigenstates (x = +-1) too.
+    eigenstates (x = +-1) too. Checks visibility, then c, then (through the
+    sampler) shots and seed.
     """
-    protocol.probe_noise(c)  # a singular overlap cannot be rescaled
     if not 0.0 <= visibility <= 1.0:
         raise UsageError(f"visibility must be in [0, 1], got {visibility}")
+    protocol.probe_noise(c)  # a singular overlap cannot be rescaled
     p = protocol.joint_distribution(visibility * x, visibility * y, c)
     counts = sample_coincidences(p, shots, seed)
     return (counts, *estimate_report(counts, c))

@@ -48,7 +48,6 @@ import numpy as np
 from .errors import RescalingSingularError, UsageError
 
 __all__ = [
-    "b_probabilities",
     "sharp_deltas",
     "joint_distribution",
     "probe_noise",
@@ -72,15 +71,6 @@ def sharp_deltas(w_a_plus):
     if not np.all((w >= 0.0) & (w <= 1.0)):
         raise UsageError(f"w_a_plus must be in [0, 1], got {w}")
     return (2.0 * np.sqrt(w * (1.0 - w)), abs(2.0 * w - 1.0))
-
-
-def b_probabilities(w_a_plus, sign: int) -> tuple[float, float]:
-    """Outcome probabilities 1/2 +- sign*sqrt(w(1-w)) of a sharp B measurement."""
-    if sign not in (+1, -1):
-        raise UsageError(f"sign must be +1 or -1, got {sign}")
-    delta_a, _ = sharp_deltas(w_a_plus)
-    p = 0.5 + 0.5 * sign * delta_a
-    return (p, 1.0 - p)
 
 
 # --------------------------------------------------------------------------

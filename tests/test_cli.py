@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from simulmeas import cli, errors
+from simulmeas import cli, errors, qmath
 from simulmeas.cli import main, sweep_columns
 
 
@@ -66,6 +66,37 @@ class TestStateCommand:
         code, _, err = run(capsys, "state", "--w", "0.3", "--c", "0")
         assert code == cli.EXIT_SINGULAR
         assert "singular" in err
+
+    @staticmethod
+    def b_pair(capsys, w, sign):
+        """The sharp B pair that a `state` report prints for (w, sign)."""
+        code, out, _ = run(capsys, "state", "--w", repr(w), "--sign", "+-"[sign < 0],
+                           "--c", "0.5")
+        assert code == 0
+        pair = re.search(r"B -> \((\S+), (\S+)\)", out).groups()
+        return tuple(map(float, pair))
+
+    def test_b_eigenstate_is_certain_in_b(self, capsys):
+        assert self.b_pair(capsys, 0.5, +1) == pytest.approx((1, 0))
+        assert self.b_pair(capsys, 0.5, -1) == pytest.approx((0, 1))
+
+    def test_a_eigenstate_is_unbiased_in_b(self, capsys):
+        for sign in (+1, -1):
+            assert self.b_pair(capsys, 1.0, sign) == pytest.approx((0.5, 0.5))
+
+    def test_general_b_probability(self, capsys):
+        p_plus, p_minus = self.b_pair(capsys, 0.75, +1)
+        assert p_plus == pytest.approx(0.9330127018922193, abs=1e-12)
+        assert p_plus + p_minus == pytest.approx(1.0, abs=1e-12)
+
+    def test_b_probabilities_match_the_projection(self, capsys):
+        # oracle: project the amplitude vector onto the B basis directly
+        rng = np.random.default_rng(11)
+        for _ in range(200):
+            w, sign = rng.uniform(), int(rng.choice([1, -1]))
+            amplitudes = qmath.equatorial(w, sign)
+            expected = tuple(np.vdot(b, amplitudes) ** 2 for b in qmath.B_BASIS)
+            assert self.b_pair(capsys, w, sign) == pytest.approx(expected, abs=1e-12), (w, sign)
 
     def test_bad_probability_is_usage_error(self, capsys):
         code, _, err = run(capsys, "state", "--w", "1.5", "--c", "0.5")
@@ -482,6 +513,9 @@ class TestMcCommand:
          "the stack is too leaky (k^2 below k_min^2)\n"
          "diagnostic: margin k^2 - k_min^2 = -0.0705435; this plate count calibrates above "
          "index n* = 1.5375383\n"),
+        # a calibrated stack's visibility, checked by run_setting
+        ("--plates 10 --visibility 2 --shots 10", 2,
+         "error: visibility must be in [0, 1], got 2.0\n"),
     ])
     def test_check_order(self, capsys, argv, code, err):
         assert run(capsys, "mc", *argv.split()) == (code, "", err)
@@ -515,6 +549,13 @@ class TestConfigFile:
         assert (code, err) == (0, "") and "shots = 5000  seed = 7" in out
         assert run(capsys, "--config", str(marked), "mc", "--w", "0.8", "--c", "0.6") == (
             code, out, err)
+
+    def test_line_without_equals_rejected(self, capsys, tmp_path):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text("seed 7\n")
+        code, out, err = run(capsys, "--config", str(cfg), "sweep", "--grid", "3")
+        assert (code, out) == (cli.EXIT_USAGE, "")
+        assert err == f"error: {cfg}:1: expected 'key = value', got 'seed 7'\n"
 
     def test_unknown_key_rejected(self, capsys, tmp_path):
         cfg = tmp_path / "bad.cfg"
@@ -780,6 +821,7 @@ ADVERSARIAL = [
         ("nan", "0.5"), ("inf", "0.5"), ("-0.5", "0.5"), ("0.5", "nan"), ("0.5", "inf"),
         ("0.5", "-0.5"), ("0.5", "1e-300"), ("0.5", "1e-160"), ("0", "1e-320"),
         ("1", "0.9999999999999999"))],
+    ["state", "--w", "0.5", "--c", "0.5", "--sign=0"],
     *[["sweep", "--grid", g] for g in ("-1", "0", "1", _huge(), "nan")],
     ["sweep", "--grid", "1000000000000"],
     *[["calibrate", "--plates", p] for p in ("-3", "0", _huge(), "10000000000000000000000")],

@@ -398,6 +398,8 @@ class TestSampling:
                   [0.25, 0.25, 0.25, 0.25 - 5e-10], [0.5, 0.5, 0, -1e-11]):
             with pytest.raises(UsageError, match="not a probability distribution"):
                 sample_coincidences(p, shots=10, seed=0)
+        with pytest.raises(UsageError, match=r"expected 4 joint probabilities, got shape \(2,\)"):
+            sample_coincidences([0.5, 0.5], shots=10, seed=0)
         with pytest.raises(UsageError):
             sample_coincidences([1, 0, 0, 0], shots=0, seed=0)
 

@@ -10,7 +10,6 @@ from simulmeas import protocol, qmath
 from simulmeas.errors import RescalingSingularError, UsageError
 from simulmeas.experiment import CoincidenceCounts
 from simulmeas.protocol import (
-    b_probabilities,
     joint_distribution,
     max_product,
     min_product,
@@ -40,37 +39,11 @@ def inferred_means(p, c):
 
 
 class TestSharpQuantities:
-    def test_b_eigenstate_is_certain_in_b(self):
-        assert b_probabilities(0.5, +1) == pytest.approx((1, 0))
-
-    def test_a_eigenstate_is_unbiased_in_b(self):
-        for sign in (+1, -1):
-            assert b_probabilities(1.0, sign) == pytest.approx((0.5, 0.5))
-
-    def test_general_b_probability(self):
-        p_plus, p_minus = b_probabilities(0.75, +1)
-        assert p_plus == pytest.approx(0.9330127018922193, abs=1e-12)
-        assert p_plus + p_minus == pytest.approx(1.0, abs=1e-12)
-
-    def test_b_probability_matches_projection(self):
-        # oracle: project the amplitude vector onto the B basis directly
-        rng = np.random.default_rng(11)
-        for _ in range(200):
-            w, sign = rng.uniform(), int(rng.choice([1, -1]))
-            amplitudes = qmath.equatorial(w, sign)
-            expected = tuple(np.vdot(b, amplitudes) ** 2 for b in qmath.B_BASIS)
-            assert b_probabilities(w, sign) == pytest.approx(expected, abs=1e-12)
-
     @pytest.mark.parametrize("w", [1.5, -0.25, math.nan, np.array([0.0, 0.5, 1.0 + 1e-15])],
                              ids=["1.5", "-0.25", "nan", "array"])
     def test_sharp_deltas_rejects_a_weight_outside_the_unit_interval(self, w):
         with pytest.raises(UsageError, match="w_a_plus must be in"):
             sharp_deltas(w)
-
-    @pytest.mark.parametrize("sign", [0, 2, -2])
-    def test_b_probabilities_rejects_a_bad_sign(self, sign):
-        with pytest.raises(UsageError, match="sign must be"):
-            b_probabilities(0.5, sign)
 
     def test_uncertainty_extremes(self):
         assert sharp_deltas(1.0) == pytest.approx((0, 1))
