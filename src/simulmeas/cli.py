@@ -145,31 +145,6 @@ def _sweep_grid(grid: int, full_range: bool) -> np.ndarray:
 _CHUNK_ROWS = 4096
 
 
-def _sweep_chunks(w: np.ndarray):
-    """`sweep_columns` of ``w`` block by block; each value has the bits the
-    whole array would give, as the closed forms act element by element."""
-    for lo in range(0, len(w), _CHUNK_ROWS):
-        yield sweep_columns(w[lo:lo + _CHUNK_ROWS])
-
-
-_CSV_HEAD = f"# {SWEEP_NOTE}\n{','.join(SWEEP_COLUMNS)}\n"
-_CSV_ROW = ",".join(["%.12g"] * len(SWEEP_COLUMNS)) + "\n"
-_JSON_HEAD = '{\n  "note": ' + json.dumps(SWEEP_NOTE) + ',\n  "rows": [\n'
-_JSON_TAIL = "\n  ]\n}\n"
-# the layout json.dumps(indent=2) gives each row; %s renders a float as its
-# shortest repr, as json does
-_JSON_ROW = "    {\n%s\n    }" % ",\n".join(f'      "{col}": %s' for col in SWEEP_COLUMNS)
-
-
-def render_sweep_csv(chunks, out) -> None:
-    """Write the sweep to ``out`` as CSV: a note, the header and one 12-digit
-    row per w, block by block from the `sweep_columns` dicts ``chunks``."""
-    out.write(_CSV_HEAD)
-    for columns in chunks:
-        cells = (columns[col].tolist() for col in SWEEP_COLUMNS)
-        out.write("".join(map(_CSV_ROW.__mod__, zip(*cells))))
-
-
 def _json_cells(column: np.ndarray) -> list:
     """The column as Python floats, with "null" where a value is not finite."""
     cells = column.tolist()
@@ -178,16 +153,34 @@ def _json_cells(column: np.ndarray) -> list:
     return cells
 
 
-def render_sweep_json(chunks, out) -> None:
-    """Write the sweep to ``out`` as the bytes of ``json.dumps({"note", "rows"},
-    indent=2)``, block by block from the `sweep_columns` dicts ``chunks``."""
-    out.write(_JSON_HEAD)
-    sep = ""
-    for columns in chunks:
-        cells = (_json_cells(columns[col]) for col in SWEEP_COLUMNS)
-        out.write(sep + ",\n".join(map(_JSON_ROW.__mod__, zip(*cells))))
-        sep = ",\n"
-    out.write(_JSON_TAIL)
+# per format: the head, the row template, the separator between rows, the
+# tail, and the cells of one column. The JSON row is the layout
+# json.dumps(indent=2) gives it; %s renders a float as its shortest repr, as
+# json does
+_SWEEP_LAYOUTS = {
+    "csv": (f"# {SWEEP_NOTE}\n{','.join(SWEEP_COLUMNS)}\n",
+            ",".join(["%.12g"] * len(SWEEP_COLUMNS)) + "\n", "", "", np.ndarray.tolist),
+    "json": ('{\n  "note": ' + json.dumps(SWEEP_NOTE) + ',\n  "rows": [\n',
+             "    {\n%s\n    }" % ",\n".join(f'      "{col}": %s' for col in SWEEP_COLUMNS),
+             ",\n", "\n  ]\n}\n", _json_cells),
+}
+
+
+def write_sweep(w: np.ndarray, fmt: str, out) -> None:
+    """Write the sweep over the w_a_plus values ``w`` to ``out`` as ``fmt``.
+
+    CSV is a note, the header and one 12-digit row per w; JSON is the bytes
+    of ``json.dumps({"note", "rows"}, indent=2)``. Rows are computed and
+    written `_CHUNK_ROWS` at a time; each value has the bits the whole array
+    would give, as the closed forms act element by element.
+    """
+    head, row, sep, tail, cells_of = _SWEEP_LAYOUTS[fmt]
+    out.write(head)
+    for lo in range(0, len(w), _CHUNK_ROWS):
+        columns = sweep_columns(w[lo:lo + _CHUNK_ROWS])
+        cells = (cells_of(columns[col]) for col in SWEEP_COLUMNS)
+        out.write((sep if lo else "") + sep.join(map(row.__mod__, zip(*cells))))
+    out.write(tail)
 
 
 def _append_point(path: str | None, fmt: str, row: tuple):
@@ -235,12 +228,11 @@ def cmd_state(args) -> int:
 
 def cmd_sweep(args) -> int:
     w = _sweep_grid(args.grid, args.full_range)
-    render = render_sweep_json if args.format == "json" else render_sweep_csv
     if args.out is None:
-        render(_sweep_chunks(w), sys.stdout)
+        write_sweep(w, args.format, sys.stdout)
     else:
         with open(args.out, "w", encoding="utf-8", newline="") as fh:
-            render(_sweep_chunks(w), fh)
+            write_sweep(w, args.format, fh)
     return EXIT_OK
 
 
@@ -258,51 +250,45 @@ def cmd_calibrate(args) -> int:
     return EXIT_OK
 
 
-def _resolve_mc_setting(args) -> tuple[float, float, float, float]:
-    """(w, c, x, y) of the setting to sample: a calibrated stack or an explicit point.
-
-    A calibrated stack leaves visibility and c to `run_setting`; an explicit
-    setting checks them first, in that order, because w comes after them.
-    Either way an input with several faults always gets the same exit code.
-    """
+def cmd_mc(args) -> int:
+    if args.seed < 0:
+        raise UsageError(f"seed must be a non-negative integer, got {args.seed}")
+    if not 1 <= args.shots <= experiment.MAX_SHOTS:
+        raise UsageError(f"shots must be in 1..{experiment.MAX_SHOTS}, got {args.shots}")
     if (args.plates is not None or args.root is not None) and (
             args.w is not None or args.c is not None):
         raise UsageError("give either --plates/--root or --w/--c, not both")
     if args.plates is not None:
+        # a calibrated stack leaves visibility and c to run_setting
         root = 1 if args.root is None else args.root
         t_s = experiment.stack_transmittance(args.plates, args.index)
         roots = experiment.calibrate_alpha(args.plates, args.index)
         if not 1 <= root <= len(roots):
             raise UsageError(f"--root must be in 1..{len(roots)} for {args.plates} plates")
         x, y, c = experiment.prepare(t_s, roots[root - 1])
-        return 0.5 * (1.0 + x), c, x, y
-    if args.w is None or args.c is None:
+        w = 0.5 * (1.0 + x)
+    elif args.w is None or args.c is None:
         raise UsageError("mc needs either --plates (with --root) or both --w and --c")
-    if not 0.0 <= args.visibility <= 1.0:
-        raise UsageError(f"visibility must be in [0, 1], got {args.visibility}")
-    protocol.probe_noise(args.c)
-    y, _ = protocol.sharp_deltas(args.w)
-    return args.w, args.c, 2.0 * args.w - 1.0, y
-
-
-def cmd_mc(args) -> int:
-    if args.seed < 0:
-        raise UsageError(f"seed must be a non-negative integer, got {args.seed}")
-    if not 1 <= args.shots <= experiment.MAX_SHOTS:
-        raise UsageError(f"shots must be in 1..{experiment.MAX_SHOTS}, got {args.shots}")
-    w, c, x, y = _resolve_mc_setting(args)
+    else:
+        # an explicit point checks visibility and c first, as w comes after them
+        if not 0.0 <= args.visibility <= 1.0:
+            raise UsageError(f"visibility must be in [0, 1], got {args.visibility}")
+        protocol.probe_noise(args.c)
+        w, c = args.w, args.c
+        y, _ = protocol.sharp_deltas(w)
+        x = 2.0 * w - 1.0
     counts, product, stderr = experiment.run_setting(x, y, c, args.shots, args.seed,
                                                      args.visibility)
 
     delta_a, delta_b = abs(y), abs(x)
     analytic = protocol.unsharp_product(delta_a, delta_b, c)
+    floor, _ = protocol.min_product(delta_a, delta_b)
     print(f"setting: w_a_plus = {_fmt(w)}  c = {_fmt(c)}  shots = {args.shots}  "
           f"seed = {args.seed}  visibility = {_fmt(args.visibility)}")
     print(f"counts: (B+,M+) {counts.n_pp}  (B+,M-) {counts.n_pm}  "
           f"(B-,M+) {counts.n_mp}  (B-,M-) {counts.n_mm}")
     print(f"measured product = {_fmt(product)}  stderr = {_fmt(stderr)}")
-    print(f"analytic product = {_fmt(analytic)}  "
-          f"minimum possible = {_fmt(1.0 + delta_a * delta_b)}")
+    print(f"analytic product = {_fmt(analytic)}  minimum possible = {_fmt(floor)}")
     _append_point(args.out, args.format,
                   (w, c, args.shots, args.seed, args.visibility, product, stderr, analytic))
     return EXIT_OK

@@ -167,8 +167,10 @@ _SCAN_PASSES = 3
 def numeric_c_scan(delta_a: float, delta_b: float) -> tuple[float, float, bool]:
     """Brute-force minimization of the simultaneous product over the overlap.
 
-    Takes and refuses what `min_product` does, pure or mixed. Returns
-    (c_best, product_best, boundary). Scans 1000 uniform points on
+    Takes one pair of scalars (Python or numpy floats, or 0-d arrays) and
+    refuses what `min_product` does, pure or mixed; an array pair raises
+    `UsageError`, as the scan's grid would pair it element by element.
+    Returns (c_best, product_best, boundary). Scans 1000 uniform points on
     (1e-4, 1-1e-4), then twice rescans 1000 points across [c[k-1], c[k+1]]
     around the last minimizer c[k], which resolves c to about 1e-8. The
     product is formed here, not by the closed forms it checks. A minimizer at
@@ -180,6 +182,9 @@ def numeric_c_scan(delta_a: float, delta_b: float) -> tuple[float, float, bool]:
         return np.sqrt((delta_a * delta_a + c * c / one_minus)
                        * (delta_b * delta_b + one_minus / (c * c)))
 
+    if np.ndim(delta_a) or np.ndim(delta_b):
+        raise UsageError("numeric_c_scan takes one pair of scalars, got "
+                         f"shapes {np.shape(delta_a)} and {np.shape(delta_b)}")
     _check_sharp_pair(delta_a, delta_b)
     lo, hi = _SCAN_EDGE, 1.0 - _SCAN_EDGE
     for scan in range(_SCAN_PASSES):

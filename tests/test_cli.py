@@ -220,10 +220,10 @@ def reference_json(columns):
     return json.dumps(doc, indent=2) + "\n"
 
 
-def render(renderer, grid, full_range):
-    """The text ``renderer`` writes for the sweep of ``grid`` rows."""
+def render(fmt, grid, full_range):
+    """The text `cli.write_sweep` writes as ``fmt`` for the sweep of ``grid`` rows."""
     out = io.StringIO()
-    renderer(cli._sweep_chunks(cli._sweep_grid(grid, full_range)), out)
+    cli.write_sweep(cli._sweep_grid(grid, full_range), fmt, out)
     return out.getvalue()
 
 
@@ -233,13 +233,13 @@ class TestSweepRendering:
                                       cli._CHUNK_ROWS + 1, 2 * cli._CHUNK_ROWS + 1])
     def test_bytes_match_the_reference(self, grid, full_range):
         columns = sweep_columns(cli._sweep_grid(grid, full_range))
-        assert render(cli.render_sweep_csv, grid, full_range) == reference_csv(columns)
-        assert render(cli.render_sweep_json, grid, full_range) == reference_json(columns)
+        assert render("csv", grid, full_range) == reference_csv(columns)
+        assert render("json", grid, full_range) == reference_json(columns)
 
     @pytest.mark.parametrize("full_range", [False, True])
     def test_json_null_where_max_product_diverges(self, full_range):
         columns = sweep_columns(cli._sweep_grid(201, full_range))
-        rows = json.loads(render(cli.render_sweep_json, 201, full_range))["rows"]
+        rows = json.loads(render("json", 201, full_range))["rows"]
         # c_opt reaches 1 at w = 1/2 and 0 at w = 0 and 1
         diverges = ~np.isfinite(columns["max_product"])
         assert columns["w_a_plus"][diverges].tolist() == ([0.0, 0.5, 1.0] if full_range
@@ -284,8 +284,10 @@ class TestSweepStream:
         small = sweep_peak_rss_kb(tmp_path, "--grid", "201")
         assert (large - small) / 1024 < 16
 
-    def test_broken_pipe_is_an_io_error(self, capsys, monkeypatch):
-        # the reader of stdout goes away after the first block is written
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_broken_pipe_is_an_io_error(self, capsys, monkeypatch, fmt):
+        # the reader of stdout goes away after the head, as the first block
+        # of rows is written
         writes = []
 
         def write(text):
@@ -295,7 +297,7 @@ class TestSweepStream:
             return len(text)
 
         monkeypatch.setattr(sys.stdout, "write", write)
-        code = main(["sweep", "--grid", "100001"])
+        code = main(["sweep", "--grid", "100001", "--format", fmt])
         monkeypatch.undo()
         _, err = capsys.readouterr()
         assert code == cli.EXIT_IO
@@ -516,6 +518,11 @@ class TestMcCommand:
         # a calibrated stack's visibility, checked by run_setting
         ("--plates 10 --visibility 2 --shots 10", 2,
          "error: visibility must be in [0, 1], got 2.0\n"),
+        # the choice of setting before the stack's calibration
+        ("--plates 7 --w 0.5 --shots 10", 2,
+         "error: give either --plates/--root or --w/--c, not both\n"),
+        ("--shots 10", 2,
+         "error: mc needs either --plates (with --root) or both --w and --c\n"),
     ])
     def test_check_order(self, capsys, argv, code, err):
         assert run(capsys, "mc", *argv.split()) == (code, "", err)

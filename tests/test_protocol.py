@@ -364,6 +364,21 @@ class TestNumericCScan:
         assert boundary
         assert c_best == 1e-4
 
+    @pytest.mark.parametrize("n", [2, 1000])
+    def test_refuses_an_array_pair(self, n):
+        # a 1000-element pair would otherwise broadcast against the scan's grid
+        delta_a, delta_b = sharp_deltas(np.linspace(0.1, 0.9, n))
+        with pytest.raises(UsageError, match="one pair of scalars"):
+            numeric_c_scan(delta_a, delta_b)
+        with pytest.raises(UsageError, match="one pair of scalars"):
+            numeric_c_scan(delta_a, 0.5)
+
+    def test_takes_numpy_scalars_and_0d_arrays(self):
+        delta_a, delta_b = sharp_deltas(0.75)
+        expected = numeric_c_scan(float(delta_a), float(delta_b))
+        assert numeric_c_scan(np.float64(delta_a), np.float64(delta_b)) == expected
+        assert numeric_c_scan(np.array(delta_a), np.array(delta_b)) == expected
+
     @settings(max_examples=300, deadline=None)
     @given(x=st.floats(-1, 1), y=st.floats(-1, 1))
     def test_mixed_states_reach_the_floor(self, x, y):
